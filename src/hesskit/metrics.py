@@ -106,6 +106,35 @@ def _eval_np(fn, z: np.ndarray) -> np.ndarray:
     return out.values
 
 
+def _sweep_scores(fn, dim: int, components, n_base: int, n_sweep: int, prior: str,
+                  seed: int) -> np.ndarray:
+    """Activeness of each listed component, from one forward call over all sweeps.
+
+    Every component shares the same base latents and sweep values, drawn
+    from ``seed``; the (components, n_base, n_sweep, dim) batch holds each
+    base latent with one component replaced by its sweep values.
+    """
+    if n_base < 2 or n_sweep < 2:
+        raise ContractViolation("n_base and n_sweep must be >= 2")
+    _check_prior(prior)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    base = rng.normal(size=(n_base, dim))
+    sweeps = rng.normal(size=(n_base, n_sweep))
+    batch = np.empty((len(components), n_base, n_sweep, dim))
+    batch[...] = base[:, None, :]
+    for i, component in enumerate(components):
+        batch[i, :, :, component] = sweeps
+    out = _eval_np(fn, batch.reshape(-1, dim))
+    out = out.reshape(batch.shape[:3] + out.shape[1:])
+    scores = np.empty(len(components))
+    # one component at a time keeps the variance temporaries small enough to stay in cache
+    for i, swept in enumerate(out):
+        # shift each sweep by its first row: identical sweeps then score exactly zero
+        swept -= swept[:, :1]
+        scores[i] = np.var(swept, axis=1, ddof=1).mean(axis=-1).mean()
+    return scores
+
+
 def activeness(fn, dim: int, component: int, n_base: int = 64, n_sweep: int = 16,
                prior: str = "gaussian", seed: int = 0) -> float:
     """Mean output variance as one latent component is resampled.
@@ -117,28 +146,13 @@ def activeness(fn, dim: int, component: int, n_base: int = 64, n_sweep: int = 16
     """
     if not 0 <= component < dim:
         raise ContractViolation(f"component {component} outside [0, {dim})")
-    if n_base < 2 or n_sweep < 2:
-        raise ContractViolation("n_base and n_sweep must be >= 2")
-    _check_prior(prior)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    base = rng.normal(size=(n_base, dim))
-    sweeps = rng.normal(size=(n_base, n_sweep))
-    scores = np.empty(n_base)
-    for i in range(n_base):
-        batch = np.repeat(base[i][None, :], n_sweep, axis=0)
-        batch[:, component] = sweeps[i]
-        out = _eval_np(fn, batch)  # (n_sweep, m)
-        # shift by the first row: identical sweeps then score exactly zero
-        scores[i] = np.mean(np.var(out - out[0], axis=0, ddof=1))
-    return float(np.mean(scores))
+    return float(_sweep_scores(fn, dim, [component], n_base, n_sweep, prior, seed)[0])
 
 
 def activeness_profile(fn, dim: int, n_base: int = 64, n_sweep: int = 16,
                        prior: str = "gaussian", seed: int = 0) -> np.ndarray:
     """Activeness of every component, one shared seed per component index."""
-    return np.array(
-        [activeness(fn, dim, i, n_base, n_sweep, prior, seed) for i in range(dim)]
-    )
+    return _sweep_scores(fn, dim, range(dim), n_base, n_sweep, prior, seed)
 
 
 def ppl(fn, dim: int, config: PPLConfig = PPLConfig(), seed: int = 0) -> PPLResult:

@@ -9,6 +9,12 @@ exhaustive check). Diagonal curvature contributes a probe-independent
 offset and cancels out of the variance, which is what makes the penalty
 blind to separable structure.
 
+The centre value G(z) cancels the same way: it adds the same -2 G(z)/e^2
+to every probe's second difference, so the variance only needs the sums
+G(z+ev) + G(z-ev). The estimator therefore evaluates no centre point: all
+2k perturbed copies of a batch are stacked into one (2kB, n) batch and
+``fn`` runs once per estimate.
+
 The estimate is assembled from differentiable primitives end to end, so
 it can be used directly as a training loss. Conventions:
 
@@ -57,8 +63,7 @@ class PenaltyConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.epsilon > 0.0:
-            raise ContractViolation(f"epsilon must be positive, got {self.epsilon}")
+        _check_epsilon(self.epsilon)
         if int(self.k) != self.k or self.k < 2:
             raise ContractViolation(f"probe count k must be an integer >= 2, got {self.k}")
         if self.reduction not in REDUCTIONS:
@@ -92,6 +97,19 @@ class PenaltyValue:
     def offdiag_estimate(self) -> float:
         """Unbiased estimate of the off-diagonal squared sum itself (value / 2)."""
         return 0.5 * self.value
+
+
+def _check_epsilon(epsilon: float) -> None:
+    """Reject a step the second difference cannot be scaled by in float64.
+
+    The differences are multiplied by 1/e^2, so e^2 must neither underflow
+    to zero nor be so small that its reciprocal overflows.
+    """
+    if not 0.0 < epsilon < np.inf:
+        raise ContractViolation(f"epsilon must be positive and finite, got {epsilon}")
+    square = epsilon * epsilon
+    if square == 0.0 or not np.isfinite(1.0 / square):
+        raise ContractViolation(f"epsilon {epsilon} is too small: 1/epsilon^2 overflows float64")
 
 
 def sample_rademacher(dim: int, k: int, seed: int = 0, rng=None) -> np.ndarray:
@@ -132,58 +150,76 @@ def _prepare_latents(z) -> tuple[np.ndarray, bool]:
     raise ContractViolation(f"latent must be 1-D or 2-D, got shape {arr.shape}")
 
 
+def _stencil_taps(fn, zarr: np.ndarray, probes: np.ndarray, epsilon: float,
+                  names: tuple[str, ...], centre: bool) -> dict[str, ad.Tensor]:
+    """Evaluate ``fn`` once on the stacked stencil around a batch of latents.
+
+    The stencil rows are z + e*v and z - e*v for each of the k probes in
+    ``probes`` (k, B, n), plus z itself when ``centre`` is set. Returns each
+    named tap reshaped to (2 or 3, k, B, ...), in that row order.
+    """
+    rows = 3 if centre else 2
+    stencil = np.empty((rows,) + probes.shape)
+    np.multiply(probes, epsilon, out=stencil[0])
+    np.negative(stencil[0], out=stencil[1])
+    if centre:
+        stencil[2] = 0.0
+    stencil += zarr
+    out, taps = evaluate_with_taps(fn, ad.Tensor(stencil.reshape(-1, zarr.shape[-1])))
+    result = {}
+    for name in names:
+        if name == "output":
+            tensor = out
+        elif name in taps:
+            tensor = taps[name]
+        else:
+            raise ContractViolation(f"function exposes no tap named {name!r}")
+        result[name] = ad.reshape(tensor, stencil.shape[:3] + tensor.shape[1:])
+    return result
+
+
 def second_directional_fd(fn, z, v, epsilon: float, taps: tuple[str, ...] | None = None):
     """Central second difference (G(z+ev) - 2 G(z) + G(z-ev)) / e^2.
 
     Approximates v^T H v for every output component; exact on quadratics.
-    With ``taps`` given, returns a dict of per-tap difference tensors
-    instead of the output's. Differentiable with respect to any parameters
-    inside ``fn``. A 1-D ``z`` yields per-component shape (m,), a batch
-    yields (B, m).
+    The three points are evaluated in one call of ``fn``. With ``taps``
+    given, returns a dict of per-tap difference tensors instead of the
+    output's. Differentiable with respect to any parameters inside ``fn``.
+    A 1-D ``z`` yields per-component shape (m,), a batch yields (B, m).
     """
-    if not epsilon > 0.0:
-        raise ContractViolation(f"epsilon must be positive, got {epsilon}")
+    _check_epsilon(epsilon)
     zarr, single = _prepare_latents(z)
     varr, _ = _prepare_latents(v)
     if varr.shape[-1] != zarr.shape[-1]:
         raise ContractViolation(
             f"probe dimension {varr.shape[-1]} != latent dimension {zarr.shape[-1]}"
         )
-    step = epsilon * np.broadcast_to(varr, zarr.shape)
-
-    out_c, taps_c = evaluate_with_taps(fn, ad.Tensor(zarr))
-    out_p, taps_p = evaluate_with_taps(fn, ad.Tensor(zarr + step))
-    out_m, taps_m = evaluate_with_taps(fn, ad.Tensor(zarr - step))
-
+    if varr.shape[0] not in (1, zarr.shape[0]):
+        raise ContractViolation(f"{varr.shape[0]} probe rows for {zarr.shape[0]} latent rows")
+    names = ("output",) if taps is None else tuple(taps)
+    probes = np.broadcast_to(varr, zarr.shape)[None]
+    stencil = _stencil_taps(fn, zarr, probes, epsilon, names, centre=True)
+    weights = ad.Tensor(np.array([1.0, 1.0, -2.0]).reshape(3, 1, 1, 1))
     inv = 1.0 / (epsilon * epsilon)
 
-    def diff(plus, center, minus):
-        d = (plus + minus - center * 2.0) * inv
-        if single:
-            return ad.reshape(d, (d.shape[-1],))
-        return d
+    def diff(rows):
+        d = (rows * weights).sum(axis=0) * inv  # (1, B, m)
+        return ad.reshape(d, d.shape[2:] if single else d.shape[1:])
 
     if taps is None:
-        return diff(out_p, out_c, out_m)
-    result = {}
-    for name in taps:
-        if name == "output":
-            result[name] = diff(out_p, out_c, out_m)
-            continue
-        if name not in taps_c:
-            raise ContractViolation(f"function exposes no tap named {name!r}")
-        result[name] = diff(taps_p[name], taps_c[name], taps_m[name])
-    return result
+        return diff(stencil["output"])
+    return {name: diff(rows) for name, rows in stencil.items()}
 
 
 def hessian_penalty_estimate(fn, z, config: PenaltyConfig, rng=None, probes=None) -> PenaltyValue:
     """Unbiased stochastic estimate of the off-diagonal Hessian penalty.
 
-    Runs 2k+1 forward passes of ``fn`` around ``z`` (the center pass is
-    shared by all probes), takes the per-component Bessel-corrected
-    variance of the central second differences over the k probes, reduces
-    across components per ``config.reduction``, averages over batch rows
-    and finally over taps.
+    Evaluates ``fn`` once, on the 2k perturbed copies z +- e*v_j of the
+    batch stacked into one (2kB, n) batch; no centre pass is needed because
+    G(z) shifts every probe's second difference equally. Takes the
+    per-component Bessel-corrected variance over the k probes of
+    (G(z+ev) + G(z-ev)) / e^2, reduces across components per
+    ``config.reduction``, averages over batch rows and finally over taps.
 
     ``probes`` may inject an explicit (k, dim) or (k, B, dim) array of
     +-1 vectors (used by oracle-consistency tests); otherwise they are
@@ -198,8 +234,8 @@ def hessian_penalty_estimate(fn, z, config: PenaltyConfig, rng=None, probes=None
         probes = rng.integers(0, 2, size=(config.k, n_rows, dim)).astype(np.float64) * 2.0 - 1.0
     else:
         probes = np.asarray(probes, dtype=np.float64)
-        if probes.ndim == 2:
-            probes = np.broadcast_to(probes[:, None, :], (probes.shape[0], n_rows, dim)).copy()
+        if probes.ndim == 2 and probes.shape[1] == dim:
+            probes = np.broadcast_to(probes[:, None, :], (probes.shape[0], n_rows, dim))
         if probes.shape != (config.k, n_rows, dim):
             raise ContractViolation(
                 f"probes must have shape ({config.k}, {n_rows}, {dim}), got {probes.shape}"
@@ -208,33 +244,18 @@ def hessian_penalty_estimate(fn, z, config: PenaltyConfig, rng=None, probes=None
             raise ContractViolation("probes must contain only +1 or -1 entries")
 
     names = config.taps if config.taps else ("output",)
-
-    def select(out, taps, name):
-        if name == "output":
-            return out
-        if name not in taps:
-            raise ContractViolation(f"function exposes no tap named {name!r}")
-        return taps[name]
-
-    out_c, taps_c = evaluate_with_taps(fn, ad.Tensor(zarr))
-    center = {name: select(out_c, taps_c, name) for name in names}
-
-    diffs: dict[str, list[ad.Tensor]] = {name: [] for name in names}
+    stencil = _stencil_taps(fn, zarr, probes, eps, names, centre=False)
+    # scale before the variance: 1/e^4 after it would overflow for small e
     inv = 1.0 / (eps * eps)
-    for j in range(config.k):
-        step = eps * probes[j]
-        out_p, taps_p = evaluate_with_taps(fn, ad.Tensor(zarr + step))
-        out_m, taps_m = evaluate_with_taps(fn, ad.Tensor(zarr - step))
-        for name in names:
-            plus = select(out_p, taps_p, name)
-            minus = select(out_m, taps_m, name)
-            diffs[name].append((plus + minus - center[name] * 2.0) * inv)
 
     per_component: dict[str, np.ndarray] = {}
     tap_scalars = []
     per_sample = np.zeros(n_rows)
     for name in names:
-        variances = ad.stack(diffs[name], axis=0).var(axis=0, ddof=1)  # (B, m)
+        sums = stencil[name].sum(axis=0) * inv  # (k, B, m)
+        # with no centre pass the sums keep the offset 2 G(z)/e^2; subtracting their
+        # probe mean as a constant keeps its rounding out of the variance's gradient
+        variances = (sums - sums.values.mean(axis=0)).var(axis=0, ddof=1)  # (B, m)
         reduced = variances.max(axis=-1) if config.reduction == "max" else variances.mean(axis=-1)
         per_component[name] = variances.values.copy()
         per_sample = per_sample + reduced.values

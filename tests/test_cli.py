@@ -167,6 +167,17 @@ def test_contract_violation_exits_one(tmp_path):
     assert main(["estimate", "--out", str(tmp_path / "y")]) == 1  # neither fn nor checkpoint
 
 
+def test_estimate_epsilon_bounds(tmp_path, capsys):
+    # 1/eps^2 of 1e-300 overflows: a typed error, not a traceback
+    assert main(["estimate", "--fn", "z1z2", "--eps", "1e-300",
+                 "--out", str(tmp_path / "x")]) == 1
+    assert "epsilon" in capsys.readouterr().err
+    # 1/eps^4 of 1e-80 would overflow too, but the estimator never forms it
+    out = str(tmp_path / "y")
+    assert main(["estimate", "--fn", "z1z2", "--eps", "1e-80", "--out", out]) == 0
+    assert read_json(os.path.join(out, "reports", "estimate.json"))["value"] == 8.0
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_numeric_error_exits_two(tmp_path):
     # beta large enough to overflow the cubic at the default probe scale

@@ -9,8 +9,11 @@ from hesskit import autodiff as ad
 from hesskit.errors import ContractViolation
 from hesskit.functions import QuadraticForm, SeparablePolynomial, get_function
 from hesskit.metrics import PPLConfig, ppl
+from hesskit.nets import Generator
 from hesskit.penalty import (
+    REDUCTIONS,
     PenaltyConfig,
+    evaluate_with_taps,
     exact_offdiag_penalty,
     hessian_penalty_estimate,
     sample_rademacher,
@@ -20,6 +23,41 @@ from hesskit.penalty import (
 
 def all_sign_vectors(n):
     return [np.array(v, dtype=np.float64) for v in itertools.product((-1.0, 1.0), repeat=n)]
+
+
+def sequential_reference(fn, z, probes, epsilon, names, reduction):
+    """The estimator in plain numpy: 2k+1 separate forwards, centre pass included.
+
+    Returns the penalty value, the per-tap (B, m) variances and the mean
+    squared second difference, which sets the scale of rounding error.
+    """
+    def taps_at(x):
+        with ad.no_grad():
+            out, taps = evaluate_with_taps(fn, ad.Tensor(x))
+        return {name: (out if name == "output" else taps[name]).values for name in names}
+
+    centre = taps_at(z)
+    diffs = {name: [] for name in names}
+    for v in probes:
+        plus, minus = taps_at(z + epsilon * v), taps_at(z - epsilon * v)
+        for name in names:
+            diffs[name].append((plus[name] + minus[name] - 2.0 * centre[name]) / epsilon**2)
+    variances, reduced, scale = {}, [], 0.0
+    for name in names:
+        d = np.stack(diffs[name])
+        variances[name] = np.var(d, axis=0, ddof=1)
+        per_row = variances[name].max(axis=-1) if reduction == "max" else variances[name].mean(axis=-1)
+        reduced.append(per_row.mean())
+        scale = max(scale, float(np.mean(d * d)))
+    return float(np.mean(reduced)), variances, scale
+
+
+def counting(fn, calls):
+    """Wrap ``fn`` so every call appends the shape of its input to ``calls``."""
+    def wrapped(z):
+        calls.append(z.shape)
+        return fn(z)
+    return wrapped
 
 
 def enumerate_estimator_mean(fn, z, config):
@@ -44,6 +82,15 @@ class TestConfig:
     def test_rejects_unknown_reduction(self):
         with pytest.raises(ContractViolation):
             PenaltyConfig(reduction="median")
+
+    @pytest.mark.parametrize("eps", [1e-300, 1e-160, float("inf"), float("nan")])
+    def test_rejects_epsilon_without_finite_inverse_square(self, eps):
+        # 1e-300 squares to zero and 1e-160 to a subnormal whose reciprocal overflows
+        with pytest.raises(ContractViolation, match="epsilon"):
+            PenaltyConfig(epsilon=eps)
+
+    def test_accepts_smallest_scalable_epsilon(self):
+        assert PenaltyConfig(epsilon=1e-154).epsilon == 1e-154
 
 
 class TestRademacher:
@@ -81,9 +128,22 @@ class TestSecondDirectionalFD:
             fd = second_directional_fd(sq, np.array([0.4, -0.2]), np.array([1.0, 0.0]), eps)
             assert fd.values[0] == pytest.approx(2.0, abs=1e-9)
 
+    def test_tiny_epsilon_is_a_contract_violation(self):
+        with pytest.raises(ContractViolation, match="epsilon"):
+            second_directional_fd(get_function("z1z2"), np.zeros(2), np.ones(2), 1e-300)
+
+    def test_one_call_with_centre_rows(self):
+        calls = []
+        fd = second_directional_fd(counting(get_function("z1z2"), calls), np.zeros((3, 2)),
+                                   np.ones(2), 0.1)
+        assert calls == [(9, 2)]
+        assert np.allclose(fd.values, 2.0, atol=1e-9)
+
     def test_probe_dimension_mismatch(self):
         with pytest.raises(ContractViolation):
             second_directional_fd(get_function("z1z2"), np.zeros(2), np.ones(3), 0.1)
+        with pytest.raises(ContractViolation, match="probe rows"):
+            second_directional_fd(get_function("z1z2"), np.zeros((2, 2)), np.ones((3, 2)), 0.1)
 
     def test_tap_selection_returns_per_tap_differences(self):
         class Tapped:
@@ -196,6 +256,12 @@ class TestEstimator:
         assert pv.per_sample.shape == (64,)
         assert pv.value == pytest.approx(float(pv.per_sample.mean()))
 
+    def test_rejects_misshaped_probes(self):
+        for probes in (np.ones((2, 3)), np.ones((3, 2)), np.ones((2, 4, 2))):
+            with pytest.raises(ContractViolation, match="probes must have shape"):
+                hessian_penalty_estimate(get_function("z1z2"), np.zeros((1, 2)),
+                                         PenaltyConfig(k=2), probes=probes)
+
     def test_unknown_tap_is_rejected(self):
         with pytest.raises(ContractViolation, match="tap"):
             hessian_penalty_estimate(get_function("z1z2"), np.zeros(2),
@@ -236,3 +302,44 @@ class TestEstimator:
             lengths.append(ppl(fn, 2, PPLConfig(samples=10000), seed=0).value)
         assert all(p <= 1e-8 for p in penalties)
         assert lengths[0] < lengths[1] < lengths[2]
+
+
+class TestFusedKernel:
+    @pytest.mark.parametrize("k,rows", [(2, 1), (2, 16), (5, 3)])
+    def test_fn_called_once_with_2kb_rows(self, k, rows):
+        calls = []
+        fn = counting(get_function("z1z2"), calls)
+        hessian_penalty_estimate(fn, np.zeros((rows, 2)), PenaltyConfig(k=k, seed=0))
+        assert calls == [(2 * k * rows, 2)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+           k=st.integers(min_value=2, max_value=8),
+           rows=st.sampled_from([1, 3, 16]),
+           reduction=st.sampled_from(REDUCTIONS),
+           use_generator=st.booleans())
+    def test_matches_sequential_reference_with_centre_pass(self, seed, k, rows, reduction,
+                                                           use_generator):
+        rng = np.random.default_rng(seed)
+        if use_generator:
+            dim = 4
+            fn = Generator(latent_dim=dim, output_dim=5, hidden_width=8, hidden_layers=3,
+                           seed=seed)
+            taps = ("norm1", "norm2", "output")
+        else:
+            dim = int(rng.integers(2, 6))
+            raw = rng.normal(size=(dim, dim))
+            fn = QuadraticForm(raw + raw.T)
+            taps = ()
+        z = rng.normal(size=(rows, dim))
+        probes = rng.integers(0, 2, size=(k, rows, dim)) * 2.0 - 1.0
+        config = PenaltyConfig(epsilon=0.1, k=k, reduction=reduction, taps=taps)
+        pv = hessian_penalty_estimate(fn, z, config, probes=probes)
+        want, variances, scale = sequential_reference(fn, z, probes, 0.1, taps or ("output",),
+                                                      reduction)
+        # relative to the squared second differences, so a value that is zero in
+        # exact arithmetic compares by the size of its rounding error
+        tol = 1e-10 * max(abs(want), scale)
+        assert abs(pv.value - want) <= tol
+        for name, var in variances.items():
+            assert np.max(np.abs(pv.per_component[name] - var)) <= tol
