@@ -26,12 +26,13 @@ import sys
 import numpy as np
 
 from . import __version__
+from .autodiff import no_grad
 from .data import SPEC_NAMES, dataset_from_manifest, dataset_spec, export_dataset, \
     sample_dataset
 from .errors import ContractViolation, NumericError
 from .functions import FUNCTION_NAMES, QuadraticForm, get_function
 from .metrics import PPLConfig, activeness_profile, ppl
-from .nets import Generator, load_checkpoint, save_checkpoint
+from .nets import Generator, default_taps, load_checkpoint, save_checkpoint
 from .oracle import diagonality_metrics, enumerate_variance, export_hessian_heatmaps, \
     hessian_sets_for
 from .penalty import PenaltyConfig, exact_offdiag_penalty, hessian_penalty_estimate
@@ -267,11 +268,12 @@ def _load_function(cfg: dict):
     raise ContractViolation("one of --fn or --checkpoint is required")
 
 
-def _resolve_taps(spec: str, fn, is_generator: bool) -> tuple[str, ...]:
+def _resolve_taps(spec: str, auto: tuple[str, ...]) -> tuple[str, ...]:
+    """Parse ``--taps``; ``auto`` is what "auto" stands for."""
     if spec == "output":
         return ()
     if spec == "auto":
-        return fn.default_taps if is_generator else ()
+        return auto
     taps = tuple(part.strip() for part in spec.split(",") if part.strip())
     if not taps:
         raise ContractViolation(f"cannot parse taps {spec!r}")
@@ -283,10 +285,23 @@ def _resolve_taps(spec: str, fn, is_generator: bool) -> tuple[str, ...]:
 
 
 def _cmd_estimate(cfg: dict, out: str) -> int:
+    repeat = int(cfg.get("repeat") or 0)
+    if repeat < 0:
+        raise ContractViolation(f"--repeat must be >= 0, got {repeat}")
     fn, dim, is_gen = _load_function(cfg)
     z = _parse_point(cfg.get("z"), dim)
     pconf = PenaltyConfig(epsilon=cfg["eps"], k=cfg["k"], reduction=cfg["reduction"],
-                          taps=_resolve_taps(cfg["taps"], fn, is_gen), seed=cfg["seed"])
+                          taps=_resolve_taps(cfg["taps"], fn.default_taps if is_gen else ()),
+                          seed=cfg["seed"])
+    # values only: a record of the forwards would keep every block's activations alive
+    with no_grad():
+        report = _estimate_report(fn, z, pconf, repeat, cfg["seed"])
+    _write_json(os.path.join(out, "reports", "estimate.json"), report)
+    print(f"penalty estimate: {report['value']:.6g}")
+    return 0
+
+
+def _estimate_report(fn, z: np.ndarray, pconf: PenaltyConfig, repeat: int, seed: int) -> dict:
     value = hessian_penalty_estimate(fn, z, pconf)
     report = {
         "value": value.value,
@@ -298,10 +313,10 @@ def _cmd_estimate(cfg: dict, out: str) -> int:
         "per_tap_mean": {name: float(np.mean(arr)) for name, arr in value.per_component.items()},
         "z": z,
     }
-    repeat = int(cfg.get("repeat") or 0)
     if repeat > 0:
-        rng = np.random.default_rng(np.random.SeedSequence(cfg["seed"]))
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
         trials = []
+        # probes are drawn per chunk of trials: the report depends on this order
         chunk = 4096
         for start in range(0, repeat, chunk):
             rows = min(chunk, repeat - start)
@@ -311,9 +326,7 @@ def _cmd_estimate(cfg: dict, out: str) -> int:
         se = float(trials.std(ddof=1) / np.sqrt(trials.size)) if trials.size > 1 else 0.0
         report["repeat"] = {"trials": int(trials.size), "mean": float(trials.mean()),
                             "std_error": se}
-    _write_json(os.path.join(out, "reports", "estimate.json"), report)
-    print(f"penalty estimate: {report['value']:.6g}")
-    return 0
+    return report
 
 
 def _parse_dims(text: str) -> list[int]:
@@ -376,14 +389,7 @@ def _cmd_verify(cfg: dict, out: str) -> int:
 
 
 def _cmd_train(cfg: dict, out: str) -> int:
-    taps_spec = cfg["taps"]
-    if taps_spec == "auto":
-        layers = cfg["hidden-layers"]
-        taps = tuple(f"norm{i + 1}" for i in range(layers if layers <= 1 else layers - 1))
-    elif taps_spec == "output":
-        taps = ()
-    else:
-        taps = tuple(t.strip() for t in taps_spec.split(",") if t.strip())
+    taps = _resolve_taps(cfg["taps"], default_taps(cfg["hidden-layers"]))
     penalty = PenaltyConfig(epsilon=cfg["eps"], k=cfg["k"], reduction=cfg["reduction"],
                             taps=taps, seed=cfg["seed"])
     tconf = TrainConfig(

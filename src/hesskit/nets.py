@@ -5,7 +5,9 @@ with a linear head; every normalization output is exposed as a tap named
 ``norm1 .. normL`` so penalties can attach to intermediate activations.
 Placing taps right after normalization avoids the degenerate solution
 where an affine layer shrinks its weights to cheat the penalty. The
-default tap selection leaves the last hidden layer out.
+default tap selection leaves the last hidden layer out. A caller that
+reads only some taps names them, and the forward pass stops after the
+deepest one: the penalty on ``norm1,norm2`` never runs the head.
 
 The discriminator stacks affine -> leaky-rectifier blocks and ends in a
 single linear logit. Both nets are read-shared during evaluation;
@@ -21,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import zipfile
 
 import numpy as np
 
@@ -34,6 +37,17 @@ CHECKPOINT_VERSION = 1
 def _init_affine(rng, fan_in: int, fan_out: int, prefix: str) -> tuple[ad.Parameter, ad.Parameter]:
     w = rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=(fan_in, fan_out))
     return ad.Parameter(f"{prefix}.weight", w), ad.Parameter(f"{prefix}.bias", np.zeros(fan_out))
+
+
+def tap_names(hidden_layers: int) -> tuple[str, ...]:
+    """Names of the normalization taps of a generator with ``hidden_layers`` blocks."""
+    return tuple(f"norm{i + 1}" for i in range(hidden_layers))
+
+
+def default_taps(hidden_layers: int) -> tuple[str, ...]:
+    """All normalization taps except the final hidden layer's."""
+    names = tap_names(hidden_layers)
+    return names[:-1] if hidden_layers > 1 else names
 
 
 class Generator:
@@ -70,12 +84,12 @@ class Generator:
 
     @property
     def tap_names(self) -> tuple[str, ...]:
-        return tuple(f"norm{i + 1}" for i in range(self.hidden_layers))
+        return tap_names(self.hidden_layers)
 
     @property
     def default_taps(self) -> tuple[str, ...]:
         """All normalization taps except the final hidden layer's."""
-        return self.tap_names[:-1] if self.hidden_layers > 1 else self.tap_names
+        return default_taps(self.hidden_layers)
 
     def parameters(self) -> list[ad.Parameter]:
         params = []
@@ -84,15 +98,38 @@ class Generator:
         params.extend(self._head)
         return params
 
-    def __call__(self, z) -> tuple[ad.Tensor, dict[str, ad.Tensor]]:
+    def _depth(self, taps) -> int:
+        """Blocks a call must run to produce ``taps``; ``hidden_layers + 1`` includes the head."""
+        full = self.hidden_layers + 1
+        if taps is None:
+            return full
+        depths = {name: i + 1 for i, name in enumerate(self.tap_names)}
+        depths["output"] = full
+        for name in taps:
+            if name not in depths:
+                raise ContractViolation(f"generator exposes no tap named {name!r}")
+        return max((depths[name] for name in taps), default=0)
+
+    def __call__(self, z, taps=None) -> tuple[ad.Tensor | None, dict[str, ad.Tensor]]:
+        """Forward pass returning (output, {tap name: activation}).
+
+        ``taps`` names what the caller reads ("output" for the head); the
+        pass then stops after the deepest of them, so the output is None
+        unless requested and deeper taps are absent. None runs everything.
+        """
+        depth = self._depth(taps)
         h, _ = as_batch(z, self.latent_dim)
-        taps: dict[str, ad.Tensor] = {}
-        for i, (w, b) in enumerate(self._hidden):
-            normed = ad.feature_normalize(ad.matmul(h, w) + b)
-            taps[f"norm{i + 1}"] = normed
-            h = ad.tanh(normed)
-        out = ad.matmul(h, self._head[0]) + self._head[1]
-        return out, taps
+        found: dict[str, ad.Tensor] = {}
+        for i, (w, b) in enumerate(self._hidden[:depth]):
+            if i:
+                h = ad.tanh(h)
+            h = ad.feature_normalize(ad.matmul(h, w) + b)
+            found[f"norm{i + 1}"] = h
+        if depth <= self.hidden_layers:
+            return None, found
+        if self.hidden_layers:
+            h = ad.tanh(h)
+        return ad.matmul(h, self._head[0]) + self._head[1], found
 
     def arch(self) -> dict:
         return {
@@ -201,24 +238,46 @@ def _manifest_path(path: str) -> str:
 
 
 def load_checkpoint(path: str):
-    """Rebuild a network from a checkpoint; parameter values load bit-exact."""
-    with np.load(path) as data:
+    """Rebuild a network from a checkpoint; parameter values load bit-exact.
+
+    Anything that is not a checkpoint this version wrote, from a foreign
+    file to metadata without ``kind`` or with unknown ``arch`` keys, is a
+    ``ContractViolation``.
+    """
+    try:
+        data = np.load(path)
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise ContractViolation(f"{path}: not a checkpoint container ({exc})") from exc
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise ContractViolation(f"{path}: not a checkpoint container (a bare array)")
+    with data:
         if "__meta__" not in data:
             raise ContractViolation(f"{path}: not a checkpoint container (missing metadata)")
-        meta = json.loads(bytes(data["__meta__"]).decode())
+        try:
+            meta = json.loads(bytes(data["__meta__"]).decode())
+        except ValueError as exc:
+            raise ContractViolation(f"{path}: unreadable checkpoint metadata ({exc})") from exc
+        if not isinstance(meta, dict):
+            raise ContractViolation(f"{path}: checkpoint metadata is not a mapping")
         if meta.get("version") != CHECKPOINT_VERSION:
             raise ContractViolation(
                 f"{path}: unsupported checkpoint version {meta.get('version')!r}"
             )
-        arch = meta["arch"]
-        if meta["kind"] == "generator":
-            net = Generator(**arch)
-        elif meta["kind"] == "discriminator":
-            net = Discriminator(**arch)
-        else:
-            raise ContractViolation(f"{path}: unknown checkpoint kind {meta['kind']!r}")
+        kinds = {"generator": Generator, "discriminator": Discriminator}
+        if meta.get("kind") not in kinds:
+            raise ContractViolation(f"{path}: unknown checkpoint kind {meta.get('kind')!r}")
+        arch = meta.get("arch")
+        if not isinstance(arch, dict):
+            raise ContractViolation(f"{path}: checkpoint metadata has no architecture")
+        try:
+            net = kinds[meta["kind"]](**arch)
+        except TypeError as exc:
+            raise ContractViolation(f"{path}: invalid architecture {arch!r} ({exc})") from exc
         for p in net.parameters():
             if p.name not in data:
                 raise ContractViolation(f"{path}: missing parameter {p.name!r}")
-            p.assign(data[p.name])
+            try:
+                p.assign(data[p.name])
+            except ValueError as exc:  # object or text arrays
+                raise ContractViolation(f"{path}: unreadable parameter {p.name!r} ({exc})") from exc
     return net

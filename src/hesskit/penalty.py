@@ -15,6 +15,17 @@ G(z+ev) + G(z-ev). The estimator therefore evaluates no centre point: all
 2k perturbed copies of a batch are stacked into one (2kB, n) batch and
 ``fn`` runs once per estimate.
 
+Two things bound the cost of that call. A function with named taps (a
+``Generator``) is told which taps the penalty reads and stops after the
+deepest of them, so a penalty on ``norm1,norm2`` runs neither the last
+hidden layer nor the output head. And a batch of more than ``_BLOCK``
+latent rows is evaluated in blocks of that many rows, each one stacked
+call of ``fn``: one huge forward costs more per row than mid-sized ones,
+and an off-record caller (``estimate``, ``verify``) then holds one block's
+activations at a time. Probes are still drawn for the whole batch at once,
+per-row results do not depend on the blocking, and a batch that fits in
+one block (every training step) builds the same record as one call.
+
 The estimate is assembled from differentiable primitives end to end, so
 it can be used directly as a training loss. Conventions:
 
@@ -44,6 +55,9 @@ from . import autodiff as ad
 from .errors import ContractViolation
 
 REDUCTIONS = ("max", "mean")
+# latent rows per stencil evaluation: bounds the (2k * rows)-row forwards of large
+# batches; a training batch fits in one block
+_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -130,9 +144,15 @@ def exact_offdiag_penalty(matrix) -> float:
     return float(np.sum(h * h) - np.sum(np.diag(h) ** 2))
 
 
-def evaluate_with_taps(fn, z: ad.Tensor) -> tuple[ad.Tensor, dict[str, ad.Tensor]]:
-    """Normalize a function result to (output, taps)."""
-    result = fn(z)
+def evaluate_with_taps(fn, z: ad.Tensor, names: tuple[str, ...] | None = None
+                       ) -> tuple[ad.Tensor | None, dict[str, ad.Tensor]]:
+    """Normalize a function result to (output, taps).
+
+    A function that declares ``tap_names`` (a ``Generator``) is passed the
+    ``names`` the caller reads, so it can skip the layers past them; its
+    output is then None unless "output" is among them.
+    """
+    result = fn(z) if names is None or not hasattr(fn, "tap_names") else fn(z, names)
     if isinstance(result, tuple):
         out, taps = result
         return out, dict(taps)
@@ -165,7 +185,7 @@ def _stencil_taps(fn, zarr: np.ndarray, probes: np.ndarray, epsilon: float,
     if centre:
         stencil[2] = 0.0
     stencil += zarr
-    out, taps = evaluate_with_taps(fn, ad.Tensor(stencil.reshape(-1, zarr.shape[-1])))
+    out, taps = evaluate_with_taps(fn, ad.Tensor(stencil.reshape(-1, zarr.shape[-1])), names)
     result = {}
     for name in names:
         if name == "output":
@@ -211,12 +231,23 @@ def second_directional_fd(fn, z, v, epsilon: float, taps: tuple[str, ...] | None
     return {name: diff(rows) for name, rows in stencil.items()}
 
 
+def _row_mean(blocks: list[ad.Tensor], n_rows: int) -> ad.Tensor:
+    """Mean over all rows of per-row values that arrive in blocks."""
+    if len(blocks) == 1:
+        return blocks[0].mean()
+    total = blocks[0].sum()
+    for block in blocks[1:]:
+        total = total + block.sum()
+    return total * (1.0 / n_rows)
+
+
 def hessian_penalty_estimate(fn, z, config: PenaltyConfig, rng=None, probes=None) -> PenaltyValue:
     """Unbiased stochastic estimate of the off-diagonal Hessian penalty.
 
-    Evaluates ``fn`` once, on the 2k perturbed copies z +- e*v_j of the
-    batch stacked into one (2kB, n) batch; no centre pass is needed because
-    G(z) shifts every probe's second difference equally. Takes the
+    Evaluates ``fn`` once per block of at most ``_BLOCK`` latent rows, on
+    the 2k perturbed copies z +- e*v_j of the block stacked into one batch;
+    no centre pass is needed because G(z) shifts every probe's second
+    difference equally, and only the configured taps are computed. Takes the
     per-component Bessel-corrected variance over the k probes of
     (G(z+ev) + G(z-ev)) / e^2, reduces across components per
     ``config.reduction``, averages over batch rows and finally over taps.
@@ -244,22 +275,29 @@ def hessian_penalty_estimate(fn, z, config: PenaltyConfig, rng=None, probes=None
             raise ContractViolation("probes must contain only +1 or -1 entries")
 
     names = config.taps if config.taps else ("output",)
-    stencil = _stencil_taps(fn, zarr, probes, eps, names, centre=False)
     # scale before the variance: 1/e^4 after it would overflow for small e
     inv = 1.0 / (eps * eps)
+    reduced: dict[str, list[ad.Tensor]] = {name: [] for name in names}
+    variances: dict[str, list[np.ndarray]] = {name: [] for name in names}
+    for start in range(0, n_rows, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        stencil = _stencil_taps(fn, zarr[block], probes[:, block], eps, names, centre=False)
+        for name in names:
+            sums = stencil[name].sum(axis=0) * inv  # (k, b, m)
+            # with no centre pass the sums keep the offset 2 G(z)/e^2; subtracting their
+            # probe mean as a constant keeps its rounding out of the variance's gradient
+            var = (sums - sums.values.mean(axis=0)).var(axis=0, ddof=1)  # (b, m)
+            variances[name].append(var.values)
+            reduced[name].append(var.max(axis=-1) if config.reduction == "max"
+                                 else var.mean(axis=-1))
 
     per_component: dict[str, np.ndarray] = {}
     tap_scalars = []
     per_sample = np.zeros(n_rows)
     for name in names:
-        sums = stencil[name].sum(axis=0) * inv  # (k, B, m)
-        # with no centre pass the sums keep the offset 2 G(z)/e^2; subtracting their
-        # probe mean as a constant keeps its rounding out of the variance's gradient
-        variances = (sums - sums.values.mean(axis=0)).var(axis=0, ddof=1)  # (B, m)
-        reduced = variances.max(axis=-1) if config.reduction == "max" else variances.mean(axis=-1)
-        per_component[name] = variances.values.copy()
-        per_sample = per_sample + reduced.values
-        tap_scalars.append(reduced.mean())
+        per_component[name] = np.concatenate(variances[name])
+        per_sample = per_sample + np.concatenate([r.values for r in reduced[name]])
+        tap_scalars.append(_row_mean(reduced[name], n_rows))
 
     per_sample /= len(names)
     loss = tap_scalars[0]

@@ -6,8 +6,10 @@ import sys
 import numpy as np
 import pytest
 
+from hesskit import autodiff as ad
+from hesskit import cli
 from hesskit.cli import main
-from hesskit.nets import load_checkpoint
+from hesskit.nets import Generator, load_checkpoint, save_checkpoint
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -202,3 +204,57 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "penalty estimate" in proc.stdout
+
+
+def test_estimate_rejects_negative_repeat(tmp_path, capsys):
+    assert main(["estimate", "--fn", "z1z2", "--repeat", "-5",
+                 "--out", str(tmp_path / "x")]) == 1
+    assert "--repeat" in capsys.readouterr().err
+
+
+def test_estimate_leaves_no_record(tmp_path, monkeypatch):
+    ckpt = str(tmp_path / "g.npz")
+    save_checkpoint(Generator(latent_dim=2, output_dim=4, hidden_width=3, seed=1), ckpt)
+    values = []
+    original = cli.hessian_penalty_estimate
+
+    def kept(*args, **kwargs):
+        values.append(original(*args, **kwargs))
+        return values[-1]
+
+    monkeypatch.setattr(cli, "hessian_penalty_estimate", kept)
+    assert main(["estimate", "--checkpoint", ckpt, "--taps", "auto", "--repeat", "3",
+                 "--out", str(tmp_path / "est")]) == 0
+    assert len(values) == 2
+    for value in values:
+        assert not value.scalar.requires_grad
+        assert ad.record(value.scalar) == [value.scalar]
+
+
+def write_metadata_only(path, meta):
+    np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8))
+
+
+@pytest.mark.parametrize("case", ["not-npz", "unknown-arch-key", "no-kind", "no-arch",
+                                  "text-parameter"])
+def test_bad_checkpoint_is_a_contract_violation(tmp_path, capsys, case):
+    ckpt = str(tmp_path / "bad.npz")
+    arch = {"latent_dim": 2, "output_dim": 4, "hidden_width": 3, "hidden_layers": 1, "seed": 0}
+    if case == "not-npz":
+        with open(ckpt, "w", encoding="utf-8") as fh:
+            fh.write("not a checkpoint\n")
+    elif case == "unknown-arch-key":
+        write_metadata_only(ckpt, {"version": 1, "kind": "generator",
+                                   "arch": {**arch, "depth": 9}})
+    elif case == "no-kind":
+        write_metadata_only(ckpt, {"version": 1, "arch": arch})
+    elif case == "no-arch":
+        write_metadata_only(ckpt, {"version": 1, "kind": "generator"})
+    else:
+        save_checkpoint(Generator(**arch), ckpt)
+        arrays = dict(np.load(ckpt))
+        arrays["head.bias"] = np.array(["a", "b", "c", "d"])
+        np.savez(ckpt, **arrays)
+    for command in ("eval", "estimate"):
+        assert main([command, "--checkpoint", ckpt, "--out", str(tmp_path / command)]) == 1
+        assert "error:" in capsys.readouterr().err

@@ -127,3 +127,46 @@ def test_discriminator_checkpoint_roundtrip(tmp_path):
     assert isinstance(loaded, Discriminator)
     x = np.random.default_rng(1).normal(size=(3, 6))
     assert np.array_equal(d(x).values, loaded(x).values)
+
+
+def counting_matmul(monkeypatch):
+    """Count the rows of every matmul's left operand, one entry per call."""
+    rows = []
+    original = ad.matmul
+
+    def counted(a, b):
+        rows.append(a.shape[0])
+        return original(a, b)
+
+    monkeypatch.setattr(ad, "matmul", counted)
+    return rows
+
+
+def test_tap_only_call_matches_full_call_and_skips_head(monkeypatch):
+    g = Generator(latent_dim=3, output_dim=7, hidden_width=5, hidden_layers=3, seed=4)
+    z = np.random.default_rng(2).normal(size=(4, 3))
+    full_out, full = g(z)
+    rows = counting_matmul(monkeypatch)
+    out, taps = g(z, ("norm2", "norm1"))
+    assert out is None
+    assert set(taps) == {"norm1", "norm2"}
+    for name, tensor in taps.items():
+        assert np.array_equal(tensor.values, full[name].values)
+    assert rows == [4, 4]  # two hidden layers; neither the third nor the head ran
+    rows.clear()
+    out, taps = g(z, ("output",))
+    assert np.array_equal(out.values, full_out.values)
+    assert rows == [4, 4, 4, 4]
+
+
+def test_unknown_tap_on_generator_is_rejected():
+    g = Generator(latent_dim=3, output_dim=4, hidden_width=5, hidden_layers=2, seed=0)
+    with pytest.raises(ContractViolation, match="no tap named 'norm3'"):
+        g(np.zeros(3), ("norm1", "norm3"))
+
+
+def test_penalty_on_default_taps_never_runs_the_head(monkeypatch):
+    g = Generator(latent_dim=3, output_dim=7, hidden_width=5, hidden_layers=3, seed=4)
+    rows = counting_matmul(monkeypatch)
+    hessian_penalty_estimate(g, np.zeros((2, 3)), PenaltyConfig(taps=g.default_taps))
+    assert rows == [8, 8]  # 2k * B stencil rows through two hidden layers

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hesskit import autodiff as ad
+from hesskit import penalty
 from hesskit.errors import ContractViolation
 from hesskit.functions import QuadraticForm, SeparablePolynomial, get_function
 from hesskit.metrics import PPLConfig, ppl
@@ -343,3 +344,48 @@ class TestFusedKernel:
         assert abs(pv.value - want) <= tol
         for name, var in variances.items():
             assert np.max(np.abs(pv.per_component[name] - var)) <= tol
+
+
+class TestRowBlocks:
+    def setup_case(self, rows=7, k=3):
+        rng = np.random.default_rng(12)
+        g = Generator(latent_dim=3, output_dim=5, hidden_width=6, hidden_layers=2, seed=8)
+        z = rng.normal(size=(rows, 3))
+        probes = rng.integers(0, 2, size=(k, rows, 3)) * 2.0 - 1.0
+        return g, z, probes
+
+    @pytest.mark.parametrize("reduction", REDUCTIONS)
+    def test_blocks_match_one_block_run(self, monkeypatch, reduction):
+        g, z, probes = self.setup_case()
+        config = PenaltyConfig(k=3, reduction=reduction, taps=("norm1", "output"))
+        whole = hessian_penalty_estimate(g, z, config, probes=probes)
+        monkeypatch.setattr(penalty, "_BLOCK", 3)
+        calls = []
+        blocked = hessian_penalty_estimate(counting(g, calls), z, config, probes=probes)
+        assert calls == [(18, 3), (18, 3), (6, 3)]  # 2k rows per latent row, blocks 3+3+1
+        assert np.array_equal(blocked.per_sample, whole.per_sample)
+        for name in ("norm1", "output"):
+            assert np.array_equal(blocked.per_component[name], whole.per_component[name])
+        assert abs(blocked.value - whole.value) <= 1e-12 * abs(whole.value)
+
+    def test_probes_are_drawn_for_the_whole_batch(self, monkeypatch):
+        g, z, _ = self.setup_case()
+        config = PenaltyConfig(k=3, taps=("norm2",))
+        whole = hessian_penalty_estimate(g, z, config, rng=np.random.default_rng(5))
+        monkeypatch.setattr(penalty, "_BLOCK", 2)
+        blocked = hessian_penalty_estimate(g, z, config, rng=np.random.default_rng(5))
+        assert np.array_equal(blocked.per_sample, whole.per_sample)
+
+    def test_gradient_check_through_blocks(self, monkeypatch):
+        g, z, probes = self.setup_case(rows=5, k=2)
+        monkeypatch.setattr(penalty, "_BLOCK", 2)
+        config = PenaltyConfig(k=2, reduction="mean", taps=("norm2", "output"))
+
+        def loss_fn():
+            return hessian_penalty_estimate(g, z, config, probes=probes).scalar
+
+        # the head bias cancels out of every second difference: its gradient is 0
+        # and a finite difference of it is rounding only, so it is left out
+        params = [p for p in g.parameters() if p.name != "head.bias"]
+        report = ad.gradient_check(loss_fn, params, step=1e-5, tolerance=1e-4)
+        assert report.passed, f"max rel error {report.max_rel_error:.3e}"
