@@ -16,7 +16,6 @@ from .autodiff import (
     backward,
     gradient_check,
     no_grad,
-    replay,
 )
 from .data import Dataset, Factor, FactorSpec, dataset_spec, render, sample_dataset
 from .errors import ContractViolation, DegeneracyError, NumericError, ToolkitError
@@ -101,7 +100,6 @@ __all__ = [
     "no_grad",
     "ppl",
     "render",
-    "replay",
     "sample_dataset",
     "sample_rademacher",
     "save_checkpoint",

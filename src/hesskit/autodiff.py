@@ -13,10 +13,8 @@ by epsilon**2 and need the headroom. Any primitive that produces a
 non-finite value raises :class:`NumericError` naming the op instead of
 propagating NaNs.
 
-Evaluations on separate records are independent and may run concurrently;
-a single record must stay confined to one thread. Parameters are
-read-shared during evaluation and must be held exclusively while gradients
-are applied.
+The recording switch of :func:`no_grad` is per thread; a single record
+must stay confined to one thread.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ import numpy as np
 
 from .errors import ContractViolation, NumericError
 
-_GRAD_STATE = threading.local()  # per-thread, so parallel oracles cannot race
+_GRAD_STATE = threading.local()
 
 
 @contextlib.contextmanager
@@ -54,7 +52,7 @@ class Tensor:
     backward closure, which together form the computation record.
     """
 
-    __slots__ = ("values", "requires_grad", "op", "_parents", "_vjp", "_fwd")
+    __slots__ = ("values", "requires_grad", "op", "_parents", "_vjp")
 
     def __init__(self, values, requires_grad: bool = False):
         arr = np.asarray(values, dtype=np.float64)
@@ -65,7 +63,6 @@ class Tensor:
         self.op = "leaf"
         self._parents: tuple[Tensor, ...] = ()
         self._vjp = None
-        self._fwd = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -83,9 +80,6 @@ class Tensor:
         if self.values.size != 1:
             raise ContractViolation(f"item() on tensor of shape {self.shape}")
         return float(self.values.reshape(()))
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.values)
 
     def __repr__(self) -> str:
         req = ", requires_grad=True" if self.requires_grad else ""
@@ -169,7 +163,7 @@ def _coerce(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _make(kind: str, out_values: np.ndarray, parents: tuple, vjp, fwd) -> Tensor:
+def _make(kind: str, out_values: np.ndarray, parents: tuple, vjp) -> Tensor:
     """Wrap a primitive result, recording it when gradients are enabled."""
     if not np.all(np.isfinite(out_values)):
         raise NumericError(f"non-finite result in op {kind!r}")
@@ -180,12 +174,10 @@ def _make(kind: str, out_values: np.ndarray, parents: tuple, vjp, fwd) -> Tensor
         out.requires_grad = True
         out._parents = parents
         out._vjp = vjp
-        out._fwd = fwd
     else:
         out.requires_grad = False
         out._parents = ()
         out._vjp = None
-        out._fwd = None
     return out
 
 
@@ -213,7 +205,7 @@ def add(a, b) -> Tensor:
     def vjp(g):
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
 
-    return _make("add", out, (a, b), vjp, lambda: a.values + b.values)
+    return _make("add", out, (a, b), vjp)
 
 
 def sub(a, b) -> Tensor:
@@ -226,7 +218,7 @@ def sub(a, b) -> Tensor:
     def vjp(g):
         return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
 
-    return _make("sub", out, (a, b), vjp, lambda: a.values - b.values)
+    return _make("sub", out, (a, b), vjp)
 
 
 def mul(a, b) -> Tensor:
@@ -239,7 +231,7 @@ def mul(a, b) -> Tensor:
     def vjp(g):
         return _unbroadcast(g * b.values, a.shape), _unbroadcast(g * a.values, b.shape)
 
-    return _make("mul", out, (a, b), vjp, lambda: a.values * b.values)
+    return _make("mul", out, (a, b), vjp)
 
 
 def scale(a, c: float) -> Tensor:
@@ -249,7 +241,7 @@ def scale(a, c: float) -> Tensor:
     c = float(c)
     if not np.isfinite(c):
         raise NumericError("scale: non-finite factor")
-    return _make("scale", a.values * c, (a,), lambda g: (g * c,), lambda: a.values * c)
+    return _make("scale", a.values * c, (a,), lambda g: (g * c,))
 
 
 def matmul(a, b) -> Tensor:
@@ -271,26 +263,21 @@ def matmul(a, b) -> Tensor:
             return bv @ g, np.outer(av, g)
         return g * bv, g * av  # 1-D dot product
 
-    return _make("matmul", out, (a, b), vjp, lambda: np.matmul(a.values, b.values))
+    return _make("matmul", out, (a, b), vjp)
 
 
 def transpose(a) -> Tensor:
     a = _coerce(a)
     if a.ndim != 2:
         raise ContractViolation(f"transpose: expects a matrix, got shape {a.shape}")
-    return _make(
-        "transpose",
-        np.ascontiguousarray(a.values.T),
-        (a,),
-        lambda g: (np.ascontiguousarray(g.T),),
-        lambda: np.ascontiguousarray(a.values.T),
-    )
+    return _make("transpose", np.ascontiguousarray(a.values.T), (a,),
+                 lambda g: (np.ascontiguousarray(g.T),))
 
 
 def tanh(a) -> Tensor:
     a = _coerce(a)
     out = np.tanh(a.values)
-    return _make("tanh", out, (a,), lambda g: (g * (1.0 - out * out),), lambda: np.tanh(a.values))
+    return _make("tanh", out, (a,), lambda g: (g * (1.0 - out * out),))
 
 
 def leaky_relu(a, slope: float = 0.2) -> Tensor:
@@ -300,9 +287,7 @@ def leaky_relu(a, slope: float = 0.2) -> Tensor:
     def vjp(g):
         return (g * np.where(a.values >= 0.0, 1.0, slope),)
 
-    return _make(
-        "leaky_relu", out, (a,), vjp, lambda: np.where(a.values >= 0.0, a.values, slope * a.values)
-    )
+    return _make("leaky_relu", out, (a,), vjp)
 
 
 def _softplus(x: np.ndarray) -> np.ndarray:
@@ -318,18 +303,12 @@ def softplus(a) -> Tensor:
         sig = np.where(x >= 0.0, 1.0 / (1.0 + np.exp(-x)), np.exp(x) / (1.0 + np.exp(x)))
         return (g * sig,)
 
-    return _make("softplus", out, (a,), vjp, lambda: _softplus(a.values))
+    return _make("softplus", out, (a,), vjp)
 
 
 def square(a) -> Tensor:
     a = _coerce(a)
-    return _make(
-        "square",
-        a.values * a.values,
-        (a,),
-        lambda g: (2.0 * a.values * g,),
-        lambda: a.values * a.values,
-    )
+    return _make("square", a.values * a.values, (a,), lambda g: (2.0 * a.values * g,))
 
 
 def _expand(g: np.ndarray, axis, shape: tuple[int, ...]) -> np.ndarray:
@@ -341,13 +320,7 @@ def _expand(g: np.ndarray, axis, shape: tuple[int, ...]) -> np.ndarray:
 def _reduce_sum(a, axis) -> Tensor:
     a = _coerce(a)
     out = np.sum(a.values, axis=axis)
-    return _make(
-        "sum",
-        out,
-        (a,),
-        lambda g: (_expand(g, axis, a.shape),),
-        lambda: np.sum(a.values, axis=axis),
-    )
+    return _make("sum", out, (a,), lambda g: (_expand(g, axis, a.shape),))
 
 
 def _reduce_mean(a, axis) -> Tensor:
@@ -356,13 +329,7 @@ def _reduce_mean(a, axis) -> Tensor:
     if n == 0:
         raise ContractViolation("mean of an empty tensor")
     out = np.mean(a.values, axis=axis)
-    return _make(
-        "mean",
-        out,
-        (a,),
-        lambda g: (_expand(g, axis, a.shape) / n,),
-        lambda: np.mean(a.values, axis=axis),
-    )
+    return _make("mean", out, (a,), lambda g: (_expand(g, axis, a.shape) / n,))
 
 
 def _reduce_var(a, axis, ddof: int) -> Tensor:
@@ -376,7 +343,7 @@ def _reduce_var(a, axis, ddof: int) -> Tensor:
     def vjp(g):
         return (_expand(g, axis, a.shape) * (2.0 / (n - ddof)) * centered,)
 
-    return _make("var", out, (a,), vjp, lambda: np.var(a.values, axis=axis, ddof=ddof))
+    return _make("var", out, (a,), vjp)
 
 
 def _reduce_max(a, axis) -> Tensor:
@@ -395,7 +362,7 @@ def _reduce_max(a, axis) -> Tensor:
             np.put_along_axis(grad, idx, np.expand_dims(g, axis), axis)
         return (grad,)
 
-    return _make("max", out, (a,), vjp, lambda: np.max(a.values, axis=axis))
+    return _make("max", out, (a,), vjp)
 
 
 def stack(tensors, axis: int = 0) -> Tensor:
@@ -409,7 +376,7 @@ def stack(tensors, axis: int = 0) -> Tensor:
     def vjp(g):
         return tuple(np.take(g, i, axis=axis) for i in range(len(parts)))
 
-    return _make("stack", out, parts, vjp, lambda: np.stack([p.values for p in parts], axis=axis))
+    return _make("stack", out, parts, vjp)
 
 
 def reshape(a, shape) -> Tensor:
@@ -418,13 +385,7 @@ def reshape(a, shape) -> Tensor:
         out = np.reshape(a.values, shape)
     except ValueError as exc:
         raise ContractViolation(f"reshape: cannot view {a.shape} as {shape}") from exc
-    return _make(
-        "reshape",
-        out,
-        (a,),
-        lambda g: (np.reshape(g, a.shape),),
-        lambda: np.reshape(a.values, shape),
-    )
+    return _make("reshape", out, (a,), lambda g: (np.reshape(g, a.shape),))
 
 
 def feature_normalize(a, delta: float = 1e-8) -> Tensor:
@@ -437,10 +398,6 @@ def feature_normalize(a, delta: float = 1e-8) -> Tensor:
         raise ContractViolation("feature_normalize: scalar input")
     m = a.shape[-1]
 
-    def kernel():
-        r = np.mean(a.values * a.values, axis=-1, keepdims=True)
-        return a.values / np.sqrt(r + delta)
-
     r = np.mean(a.values * a.values, axis=-1, keepdims=True)
     s = np.sqrt(r + delta)
     out = a.values / s
@@ -449,11 +406,11 @@ def feature_normalize(a, delta: float = 1e-8) -> Tensor:
         inner = np.sum(g * a.values, axis=-1, keepdims=True)
         return (g / s - a.values * inner / (m * s**3),)
 
-    return _make("feature_normalize", out, (a,), vjp, kernel)
+    return _make("feature_normalize", out, (a,), vjp)
 
 
 # ---------------------------------------------------------------------------
-# record traversal, backward, replay
+# record traversal and backward
 
 
 def record(root: Tensor) -> list[Tensor]:
@@ -500,14 +457,6 @@ def backward(loss: Tensor) -> None:
                 continue
             held = grads.get(id(parent))
             grads[id(parent)] = pg if held is None else held + pg
-
-
-def replay(root: Tensor) -> bool:
-    """Re-execute every recorded op; True iff all outputs reproduce bit-identically."""
-    for node in record(root):
-        if node._fwd is not None and not np.array_equal(node._fwd(), node.values):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

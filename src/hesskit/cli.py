@@ -55,7 +55,6 @@ _COMMON = {
     "out": (str, None, "output directory (default: $HESSKIT_OUTPUT_ROOT/<command> or runs/<command>)"),
     "config": (str, None, "flat key=value config file; flags override it"),
     "seed": (int, 0, "random seed"),
-    "threads": (int, 1, "worker cap for parallelizable oracles"),
 }
 
 _OPTIONS = {
@@ -268,6 +267,13 @@ def _load_function(cfg: dict):
     raise ContractViolation("one of --fn or --checkpoint is required")
 
 
+def _at_least(cfg: dict, name: str, minimum: int) -> int:
+    """The count option ``name``, rejected below ``minimum``."""
+    if cfg[name] < minimum:
+        raise ContractViolation(f"--{name} must be >= {minimum}, got {cfg[name]}")
+    return cfg[name]
+
+
 def _resolve_taps(spec: str, auto: tuple[str, ...]) -> tuple[str, ...]:
     """Parse ``--taps``; ``auto`` is what "auto" stands for."""
     if spec == "output":
@@ -285,9 +291,7 @@ def _resolve_taps(spec: str, auto: tuple[str, ...]) -> tuple[str, ...]:
 
 
 def _cmd_estimate(cfg: dict, out: str) -> int:
-    repeat = int(cfg.get("repeat") or 0)
-    if repeat < 0:
-        raise ContractViolation(f"--repeat must be >= 0, got {repeat}")
+    repeat = _at_least(cfg, "repeat", 0)
     fn, dim, is_gen = _load_function(cfg)
     z = _parse_point(cfg.get("z"), dim)
     pconf = PenaltyConfig(epsilon=cfg["eps"], k=cfg["k"], reduction=cfg["reduction"],
@@ -343,6 +347,8 @@ def _parse_dims(text: str) -> list[int]:
 def _cmd_verify(cfg: dict, out: str) -> int:
     rng = np.random.default_rng(np.random.SeedSequence(cfg["seed"]))
     dims = _parse_dims(cfg["dims"])
+    for name, minimum in (("trials", 1), ("mc-matrices", 1), ("mc-dim", 2), ("mc-trials", 2)):
+        _at_least(cfg, name, minimum)
 
     worst_rel = 0.0
     identity_trials = []
@@ -390,8 +396,7 @@ def _cmd_verify(cfg: dict, out: str) -> int:
 
 def _cmd_train(cfg: dict, out: str) -> int:
     taps = _resolve_taps(cfg["taps"], default_taps(cfg["hidden-layers"]))
-    penalty = PenaltyConfig(epsilon=cfg["eps"], k=cfg["k"], reduction=cfg["reduction"],
-                            taps=taps, seed=cfg["seed"])
+    penalty = PenaltyConfig(epsilon=cfg["eps"], k=cfg["k"], reduction=cfg["reduction"], taps=taps)
     tconf = TrainConfig(
         mode=cfg["mode"], dataset=cfg["dataset"], latent_dim=cfg["latent-dim"],
         hidden_width=cfg["hidden-width"], hidden_layers=cfg["hidden-layers"],
@@ -439,9 +444,8 @@ def _cmd_train(cfg: dict, out: str) -> int:
 
 def _cmd_directions(cfg: dict, out: str) -> int:
     fn, dim, _is_gen = _load_function(cfg)
-    n_directions = cfg.get("directions") or dim
-    pconf = PenaltyConfig(epsilon=cfg["eps"], k=cfg["k"], reduction="mean", taps=(),
-                          seed=cfg["seed"])
+    n_directions = dim if cfg["directions"] is None else cfg["directions"]
+    pconf = PenaltyConfig(epsilon=cfg["eps"], k=cfg["k"], reduction="mean", taps=())
     matrix, log = discover_directions(
         fn, n_directions, cfg["steps"], seed=cfg["seed"], learning_rate=cfg["lr"],
         eta_range=cfg["eta-range"], config=pconf,
@@ -462,6 +466,7 @@ def _cmd_directions(cfg: dict, out: str) -> int:
 
 
 def _cmd_eval(cfg: dict, out: str) -> int:
+    n_points = _at_least(cfg, "hess-samples", 1)
     fn, dim, _is_gen = _load_function(cfg)
     seed = cfg["seed"]
     act = activeness_profile(fn, dim, n_base=cfg["act-base"], n_sweep=cfg["act-sweep"],
@@ -469,8 +474,8 @@ def _cmd_eval(cfg: dict, out: str) -> int:
     ppl_result = ppl(fn, dim, PPLConfig(alpha=cfg["alpha"], samples=cfg["ppl-samples"]),
                      seed=seed)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    zs = rng.normal(size=(cfg["hess-samples"], dim))
-    sets = hessian_sets_for(fn, zs, cfg["hess-eps"], threads=cfg["threads"])
+    zs = rng.normal(size=(n_points, dim))
+    sets = hessian_sets_for(fn, zs, cfg["hess-eps"])
     diag = diagonality_metrics(sets)
     _write_json(os.path.join(out, "reports", "metrics.json"), {
         "seed": seed,
@@ -494,8 +499,8 @@ def _cmd_hessdump(cfg: dict, out: str) -> int:
         zs = _parse_point(cfg["z"], dim)[None, :]
     else:
         rng = np.random.default_rng(np.random.SeedSequence(cfg["seed"]))
-        zs = rng.normal(size=(cfg["samples"], dim))
-    sets = hessian_sets_for(fn, zs, cfg["eps"], threads=cfg["threads"])
+        zs = rng.normal(size=(_at_least(cfg, "samples", 1), dim))
+    sets = hessian_sets_for(fn, zs, cfg["eps"])
     diag = diagonality_metrics(sets)
     stacked = np.concatenate([s.matrices for s in sets], axis=0)
     index = export_hessian_heatmaps(stacked, os.path.join(out, "heatmaps"), top=cfg.get("top"))
@@ -505,7 +510,6 @@ def _cmd_hessdump(cfg: dict, out: str) -> int:
         "matrices": int(stacked.shape[0]),
         "exported": len(index),
         "diagonality": diag.to_dict(),
-        "max_asymmetry": max(s.max_asymmetry for s in sets),
         "index": index,
     })
     print(f"exported {len(index)} heatmaps to {os.path.join(out, 'heatmaps')}")

@@ -275,8 +275,16 @@ def dataset_from_manifest(path: str) -> Dataset:
     """Regenerate a dataset from its manifest alone."""
     manifest_file = path if path.endswith(".json") else os.path.join(path, "manifest.json")
     with open(manifest_file, encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    if manifest.get("format") != "dataset" or manifest.get("version") != DATASET_VERSION:
+        try:
+            manifest = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ContractViolation(f"{manifest_file}: not a JSON manifest ({exc})") from exc
+    if not (isinstance(manifest, dict) and manifest.get("format") == "dataset"
+            and manifest.get("version") == DATASET_VERSION):
         raise ContractViolation(f"{manifest_file}: not a supported dataset manifest")
-    spec = FactorSpec.from_dict(manifest["spec"])
-    return sample_dataset(spec, int(manifest["count"]), int(manifest["seed"]))
+    try:
+        spec = FactorSpec.from_dict(manifest["spec"])
+        count, seed = int(manifest["count"]), int(manifest["seed"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ContractViolation(f"{manifest_file}: malformed manifest: {exc!r}") from exc
+    return sample_dataset(spec, count, seed)

@@ -30,31 +30,19 @@ from .penalty import evaluate_with_taps
 
 _PARALLEL_EPS = 1e-6
 
-PRIORS = ("gaussian",)
-
-
-def _check_prior(prior: str) -> None:
-    if prior not in PRIORS:
-        raise ContractViolation(f"unsupported prior {prior!r}; choose from {PRIORS}")
-
 
 @dataclass(frozen=True)
 class PPLConfig:
-    """Path-length settings: step size, sample count, distance, prior."""
+    """Path-length settings: step size and sample count."""
 
     alpha: float = 1e-4
     samples: int = 10000
-    distance: str = "squared-l2"
-    prior: str = "gaussian"
 
     def __post_init__(self):
         if not self.alpha > 0.0:
             raise ContractViolation(f"alpha must be positive, got {self.alpha}")
         if self.samples < 1:
             raise ContractViolation(f"samples must be >= 1, got {self.samples}")
-        if self.distance != "squared-l2":
-            raise ContractViolation(f"unsupported distance {self.distance!r}")
-        _check_prior(self.prior)
 
 
 @dataclass
@@ -106,8 +94,7 @@ def _eval_np(fn, z: np.ndarray) -> np.ndarray:
     return out.values
 
 
-def _sweep_scores(fn, dim: int, components, n_base: int, n_sweep: int, prior: str,
-                  seed: int) -> np.ndarray:
+def _sweep_scores(fn, dim: int, components, n_base: int, n_sweep: int, seed: int) -> np.ndarray:
     """Activeness of each listed component, from one forward call over all sweeps.
 
     Every component shares the same base latents and sweep values, drawn
@@ -116,7 +103,6 @@ def _sweep_scores(fn, dim: int, components, n_base: int, n_sweep: int, prior: st
     """
     if n_base < 2 or n_sweep < 2:
         raise ContractViolation("n_base and n_sweep must be >= 2")
-    _check_prior(prior)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     base = rng.normal(size=(n_base, dim))
     sweeps = rng.normal(size=(n_base, n_sweep))
@@ -136,7 +122,7 @@ def _sweep_scores(fn, dim: int, components, n_base: int, n_sweep: int, prior: st
 
 
 def activeness(fn, dim: int, component: int, n_base: int = 64, n_sweep: int = 16,
-               prior: str = "gaussian", seed: int = 0) -> float:
+               seed: int = 0) -> float:
     """Mean output variance as one latent component is resampled.
 
     For each of ``n_base`` base latents, component ``component`` (0-based)
@@ -146,13 +132,13 @@ def activeness(fn, dim: int, component: int, n_base: int = 64, n_sweep: int = 16
     """
     if not 0 <= component < dim:
         raise ContractViolation(f"component {component} outside [0, {dim})")
-    return float(_sweep_scores(fn, dim, [component], n_base, n_sweep, prior, seed)[0])
+    return float(_sweep_scores(fn, dim, [component], n_base, n_sweep, seed)[0])
 
 
 def activeness_profile(fn, dim: int, n_base: int = 64, n_sweep: int = 16,
-                       prior: str = "gaussian", seed: int = 0) -> np.ndarray:
+                       seed: int = 0) -> np.ndarray:
     """Activeness of every component, one shared seed per component index."""
-    return _sweep_scores(fn, dim, range(dim), n_base, n_sweep, prior, seed)
+    return _sweep_scores(fn, dim, range(dim), n_base, n_sweep, seed)
 
 
 def ppl(fn, dim: int, config: PPLConfig = PPLConfig(), seed: int = 0) -> PPLResult:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,17 +28,13 @@ _CHUNK = 1 << 16
 class HessianSet:
     """Per-output-component Hessians of one function at one point.
 
-    ``matrices`` has shape (m, n, n) and stores (H + H^T) / 2 of the raw
-    estimate. ``max_asymmetry`` records the largest |H_ij - H_ji| seen
-    before symmetrization; the centered-product stencil used here is
-    symmetric by construction, so the field is 0.0 and only becomes
-    informative for stencil variants.
+    ``matrices`` has shape (m, n, n); the centered-product stencil is
+    symmetric by construction, so each matrix is exactly symmetric.
     """
 
     matrices: np.ndarray
     z: np.ndarray
     epsilon: float
-    max_asymmetry: float = 0.0
 
     @property
     def count(self) -> int:
@@ -72,7 +67,12 @@ class DiagonalityReport:
 
 
 def exact_hessian_fd(fn, z, epsilon: float) -> HessianSet:
-    """Full finite-difference Hessian of every output component.
+    """Full finite-difference Hessian of every output component at one point."""
+    return hessian_sets_for(fn, np.asarray(z, dtype=np.float64).reshape(1, -1), epsilon)[0]
+
+
+def hessian_sets_for(fn, zs, epsilon: float) -> list[HessianSet]:
+    """Full finite-difference Hessians at each of S points, from one call of ``fn``.
 
     Diagonal entries use the 1-D central second difference; mixed entries
     use the four-point centered product stencil
@@ -80,54 +80,35 @@ def exact_hessian_fd(fn, z, epsilon: float) -> HessianSet:
         [f(z+e_i+e_j) - f(z+e_i-e_j) - f(z-e_i+e_j) + f(z-e_i-e_j)] / (4 eps^2)
 
     whose truncation error is O(eps^2), so cubic test functions are
-    resolved exactly up to round-off. Costs O(n^2) batched evaluations.
+    resolved exactly up to round-off. Each point needs P = 1 + 2n + 2n(n-1)
+    stencil rows; the stencils of all points are stacked into one (S*P, n)
+    batch, and a point's result does not depend on the others.
     """
     if not epsilon > 0.0:
         raise ContractViolation(f"epsilon must be positive, got {epsilon}")
-    z = np.asarray(z, dtype=np.float64).reshape(-1)
-    n = z.size
-    eye = np.eye(n)
-
-    points = [z]
-    for i in range(n):
-        points.append(z + epsilon * eye[i])
-        points.append(z - epsilon * eye[i])
-    pair_base = len(points)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for i, j in pairs:
-        step_i, step_j = epsilon * eye[i], epsilon * eye[j]
-        points.extend((z + step_i + step_j, z + step_i - step_j,
-                       z - step_i + step_j, z - step_i - step_j))
+    zs = np.asarray(zs, dtype=np.float64)
+    if zs.ndim != 2 or 0 in zs.shape:
+        raise ContractViolation(f"expected a non-empty (S, n) array of points, got {zs.shape}")
+    s, n = zs.shape
+    step = epsilon * np.eye(n)
+    rows, cols = np.triu_indices(n, 1)
+    a, b = step[rows], step[cols]
+    offsets = np.concatenate([np.zeros((1, n)),
+                              np.stack([step, -step], axis=1).reshape(-1, n),
+                              np.stack([a + b, a - b, b - a, -a - b], axis=1).reshape(-1, n)])
 
     with ad.no_grad():
-        out, _ = evaluate_with_taps(fn, ad.Tensor(np.stack(points)))
-    f = out.values  # (P, m)
-    m = f.shape[1]
+        out, _ = evaluate_with_taps(fn, ad.Tensor((zs[:, None, :] + offsets).reshape(-1, n)))
+    f = out.values.reshape(s, offsets.shape[0], -1)  # (S, P, m)
 
-    h = np.zeros((m, n, n))
     inv = 1.0 / (epsilon * epsilon)
-    for i in range(n):
-        h[:, i, i] = (f[1 + 2 * i] - 2.0 * f[0] + f[2 + 2 * i]) * inv
-    for idx, (i, j) in enumerate(pairs):
-        p = pair_base + 4 * idx
-        mixed = (f[p] - f[p + 1] - f[p + 2] + f[p + 3]) * (0.25 * inv)
-        h[:, i, j] = mixed
-        h[:, j, i] = mixed
-
-    return HessianSet(matrices=h, z=z, epsilon=epsilon, max_asymmetry=0.0)
-
-
-def hessian_sets_for(fn, zs, epsilon: float, threads: int = 1) -> list[HessianSet]:
-    """Exact Hessians at several points; points are independent, so they parallelize."""
-    zs = np.asarray(zs, dtype=np.float64)
-    if zs.ndim != 2:
-        raise ContractViolation(f"expected a (S, n) array of points, got shape {zs.shape}")
-    if threads < 1:
-        raise ContractViolation(f"threads must be >= 1, got {threads}")
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda p: exact_hessian_fd(fn, p, epsilon), zs))
-    return [exact_hessian_fd(fn, p, epsilon) for p in zs]
+    diag = (f[:, 1:1 + 2 * n:2] - 2.0 * f[:, :1] + f[:, 2:2 + 2 * n:2]) * inv  # (S, n, m)
+    q = f[:, 1 + 2 * n:].reshape(s, rows.size, 4, f.shape[2])  # (S, pairs, 4, m)
+    mixed = (q[:, :, 0] - q[:, :, 1] - q[:, :, 2] + q[:, :, 3]) * (0.25 * inv)
+    h = np.zeros((s, f.shape[2], n, n))
+    h[:, :, np.arange(n), np.arange(n)] = diag.transpose(0, 2, 1)
+    h[:, :, rows, cols] = h[:, :, cols, rows] = mixed.transpose(0, 2, 1)
+    return [HessianSet(matrices=h[i], z=zs[i], epsilon=epsilon) for i in range(s)]
 
 
 def enumerate_variance(matrix) -> float:

@@ -41,8 +41,7 @@ it can be used directly as a training loss. Conventions:
 * a batch of latents uses independent probes per row, and the scalar is
   the mean over rows, matching an expectation over the latent prior.
 
-Estimation is pure given (function, z, probes) and may run concurrently
-for disjoint records.
+Estimation is pure given (function, z, probes).
 """
 
 from __future__ import annotations
@@ -163,11 +162,9 @@ def _prepare_latents(z) -> tuple[np.ndarray, bool]:
     arr = z.values if isinstance(z, ad.Tensor) else np.asarray(z, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise ContractViolation("latent input must be finite")
-    if arr.ndim == 1:
-        return arr[None, :], True
-    if arr.ndim == 2:
-        return arr, False
-    raise ContractViolation(f"latent must be 1-D or 2-D, got shape {arr.shape}")
+    if arr.ndim not in (1, 2) or 0 in arr.shape:
+        raise ContractViolation(f"latent must be a non-empty 1-D or 2-D array, got {arr.shape}")
+    return (arr[None, :], True) if arr.ndim == 1 else (arr, False)
 
 
 def _stencil_taps(fn, zarr: np.ndarray, probes: np.ndarray, epsilon: float,

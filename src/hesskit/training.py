@@ -207,9 +207,7 @@ class Trainer:
             if self.adversarial else None
         )
         self.penalty_config = config.penalty or PenaltyConfig(
-            epsilon=0.1, k=2, reduction="max", taps=self.generator.default_taps,
-            seed=int(seeds[4]),
-        )
+            epsilon=0.1, k=2, reduction="max", taps=self.generator.default_taps)
         if not self.adversarial:
             self._latents = dataset.latents(config.latent_dim)
         self.log = TrainLog()

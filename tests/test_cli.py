@@ -258,3 +258,47 @@ def test_bad_checkpoint_is_a_contract_violation(tmp_path, capsys, case):
     for command in ("eval", "estimate"):
         assert main([command, "--checkpoint", ckpt, "--out", str(tmp_path / command)]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["no-spec", "not-json", "spec-without-factors"])
+def test_malformed_dataset_manifest_is_a_contract_violation(tmp_path, capsys, case):
+    data_out = str(tmp_path / "ds")
+    assert main(["data", "--spec", "2factor", "--n", "4", "--out", data_out]) == 0
+    path = os.path.join(data_out, "manifest.json")
+    manifest = read_json(path)
+    if case == "no-spec":
+        del manifest["spec"]
+    elif case == "spec-without-factors":
+        del manifest["spec"]["factors"]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("{not json" if case == "not-json" else json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["train", "--mode", "reconstruction", "--dataset", data_out,
+                 "--latent-dim", "2", "--steps", "1", "--out", str(tmp_path / "tr")]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--mc-trials", "0"],
+    ["verify", "--mc-trials", "1"],
+    ["verify", "--mc-dim", "0"],
+    ["verify", "--trials", "0"],
+    ["verify", "--mc-matrices", "-1"],
+    ["eval", "--fn", "z1z2", "--hess-samples", "-1"],
+    ["eval", "--fn", "z1z2", "--hess-samples", "0"],
+    ["hessdump", "--fn", "z1z2", "--samples", "-2"],
+    ["hessdump", "--fn", "z1z2", "--samples", "0"],
+    ["directions", "--fn", "z1z2", "--directions", "0", "--steps", "1"],
+], ids=lambda argv: " ".join(argv))
+def test_empty_or_negative_counts_exit_one(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path / "x")]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_threads_is_not_an_option(tmp_path, capsys):
+    assert main(["eval", "--fn", "z1z2", "--threads", "2", "--out", str(tmp_path / "x")]) == 1
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("threads = 2\n")
+    assert main(["hessdump", "--fn", "z1z2", "--config", str(cfg_file),
+                 "--out", str(tmp_path / "y")]) == 1
+    assert "unknown config key 'threads'" in capsys.readouterr().err

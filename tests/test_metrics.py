@@ -112,7 +112,3 @@ class TestPPL:
     def test_config_validation(self):
         with pytest.raises(ContractViolation):
             PPLConfig(alpha=0.0)
-        with pytest.raises(ContractViolation):
-            PPLConfig(distance="lpips")
-        with pytest.raises(ContractViolation):
-            PPLConfig(prior="uniform")

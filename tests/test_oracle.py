@@ -44,7 +44,6 @@ class TestExactHessianFD:
     def test_symmetry_residual_of_smooth_function(self):
         fn = get_function("rotated-separable", dim=4, seed=3)
         hs = exact_hessian_fd(fn, np.random.default_rng(0).normal(size=4), 1e-3)
-        assert hs.max_asymmetry <= 1e-6
         assert np.allclose(hs.matrices, np.swapaxes(hs.matrices, 1, 2))
 
     def test_registry_functions_match_analytic(self):
@@ -55,13 +54,34 @@ class TestExactHessianFD:
             hs = exact_hessian_fd(fn, z, 1e-3)
             assert np.max(np.abs(hs.matrices - fn.hessians(z))) <= 1e-6, name
 
-    def test_threads_match_sequential(self):
+    def test_stacked_points_match_single_point_calls(self):
         fn = get_function("rotated-separable", dim=3, seed=1)
         zs = np.random.default_rng(2).normal(size=(4, 3))
-        seq = hessian_sets_for(fn, zs, 1e-3, threads=1)
-        par = hessian_sets_for(fn, zs, 1e-3, threads=4)
-        for a, b in zip(seq, par):
-            assert np.array_equal(a.matrices, b.matrices)
+        calls = []
+
+        def counted(z):
+            calls.append(z.shape)
+            return fn(z)
+
+        stacked = hessian_sets_for(counted, zs, 1e-3)
+        assert calls == [(4 * 19, 3)]  # 1 + 2n + 2n(n-1) stencil rows per point, one call
+        assert len(stacked) == 4
+        for z, hs in zip(zs, stacked):
+            single = exact_hessian_fd(fn, z, 1e-3)
+            assert np.array_equal(hs.matrices, single.matrices)
+            assert np.array_equal(hs.z, z)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (2, 0), (3,)])
+    def test_empty_or_flat_point_array_rejected(self, shape):
+        with pytest.raises(ContractViolation, match="non-empty"):
+            hessian_sets_for(get_function("z1z2"), np.zeros(shape), 1e-3)
+
+    def test_one_dimensional_function(self):
+        cube = SeparablePolynomial(np.array([2.0]))  # G(z) = 2 z^3, G'' = 12 z
+        hs = hessian_sets_for(cube, np.array([[0.5], [-1.0]]), 1e-3)
+        assert [h.matrices.shape for h in hs] == [(1, 1, 1), (1, 1, 1)]
+        assert hs[0].matrices[0, 0, 0] == pytest.approx(6.0, abs=1e-6)
+        assert hs[1].matrices[0, 0, 0] == pytest.approx(-12.0, abs=1e-6)
 
 
 class TestEnumeration:

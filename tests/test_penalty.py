@@ -263,6 +263,11 @@ class TestEstimator:
                 hessian_penalty_estimate(get_function("z1z2"), np.zeros((1, 2)),
                                          PenaltyConfig(k=2), probes=probes)
 
+    @pytest.mark.parametrize("shape", [(0, 2), (3, 0), (0,)])
+    def test_empty_batch_is_rejected(self, shape):
+        with pytest.raises(ContractViolation, match="non-empty"):
+            hessian_penalty_estimate(get_function("z1z2"), np.zeros(shape), PenaltyConfig())
+
     def test_unknown_tap_is_rejected(self):
         with pytest.raises(ContractViolation, match="tap"):
             hessian_penalty_estimate(get_function("z1z2"), np.zeros(2),
@@ -389,3 +394,70 @@ class TestRowBlocks:
         params = [p for p in g.parameters() if p.name != "head.bias"]
         report = ad.gradient_check(loss_fn, params, step=1e-5, tolerance=1e-4)
         assert report.passed, f"max rel error {report.max_rel_error:.3e}"
+
+
+class Summed:
+    """Pointwise sum of analytic functions that share one input dimension."""
+
+    def __init__(self, *fns):
+        self.fns = fns
+
+    def __call__(self, z):
+        out = self.fns[0](z)
+        for fn in self.fns[1:]:
+            out = out + fn(z)
+        return out
+
+
+class TestInvariance:
+    """With the probes fixed, the estimate of a quadratic form depends on v^T H v alone.
+
+    Differences are measured against ||H||_F^2, the scale of the estimate: a
+    pair of probes that agree on v^T H v gives an estimate of exactly zero.
+    """
+
+    cases = given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(2, 6),
+                  st.integers(2, 5), st.integers(1, 4))
+
+    @staticmethod
+    def draw(seed, n, k, rows):
+        rng = np.random.default_rng(seed)
+        raw = rng.normal(size=(n, n))
+        z = rng.normal(size=(rows, n))
+        probes = rng.integers(0, 2, size=(k, rows, n)) * 2.0 - 1.0
+        return rng, raw + raw.T, z, probes
+
+    @staticmethod
+    def estimate(fn, z, probes):
+        config = PenaltyConfig(epsilon=0.1, k=probes.shape[0], reduction="mean")
+        return hessian_penalty_estimate(fn, z, config, probes=probes).value
+
+    def assert_unchanged(self, got, want, h):
+        assert abs(got - want) <= 1e-10 * max(abs(want), float(np.sum(h * h)))
+
+    @settings(max_examples=30, deadline=None)
+    @cases
+    def test_latent_permutation(self, seed, n, k, rows):
+        rng, h, z, probes = self.draw(seed, n, k, rows)
+        want = self.estimate(QuadraticForm(h), z, probes)
+        perm = rng.permutation(n)
+        got = self.estimate(QuadraticForm(h[np.ix_(perm, perm)]), z[:, perm], probes[..., perm])
+        self.assert_unchanged(got, want, h)
+
+    @settings(max_examples=30, deadline=None)
+    @cases
+    def test_latent_sign_flips(self, seed, n, k, rows):
+        rng, h, z, probes = self.draw(seed, n, k, rows)
+        want = self.estimate(QuadraticForm(h), z, probes)
+        d = rng.choice([-1.0, 1.0], size=n)
+        got = self.estimate(QuadraticForm(d[:, None] * h * d), z * d, probes * d)
+        self.assert_unchanged(got, want, h)
+
+    @settings(max_examples=30, deadline=None)
+    @cases
+    def test_added_separable_cubic(self, seed, n, k, rows):
+        rng, h, z, probes = self.draw(seed, n, k, rows)
+        want = self.estimate(QuadraticForm(h), z, probes)
+        cubic = SeparablePolynomial(*(rng.uniform(-1.0, 1.0, n) for _ in range(3)))
+        got = self.estimate(Summed(QuadraticForm(h), cubic), z, probes)
+        self.assert_unchanged(got, want, h)
