@@ -469,14 +469,15 @@ def _cmd_eval(cfg: dict, out: str) -> int:
     n_points = _at_least(cfg, "hess-samples", 1)
     fn, dim, _is_gen = _load_function(cfg)
     seed = cfg["seed"]
-    act = activeness_profile(fn, dim, n_base=cfg["act-base"], n_sweep=cfg["act-sweep"],
-                             seed=seed)
-    ppl_result = ppl(fn, dim, PPLConfig(alpha=cfg["alpha"], samples=cfg["ppl-samples"]),
-                     seed=seed)
+    # the Hessians go first, so an unusable --hess-eps fails before the sweeps run
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     zs = rng.normal(size=(n_points, dim))
     sets = hessian_sets_for(fn, zs, cfg["hess-eps"])
     diag = diagonality_metrics(sets)
+    act = activeness_profile(fn, dim, n_base=cfg["act-base"], n_sweep=cfg["act-sweep"],
+                             seed=seed)
+    ppl_result = ppl(fn, dim, PPLConfig(alpha=cfg["alpha"], samples=cfg["ppl-samples"]),
+                     seed=seed)
     _write_json(os.path.join(out, "reports", "metrics.json"), {
         "seed": seed,
         "config": {k: v for k, v in cfg.items() if k != "out"},

@@ -14,8 +14,12 @@ off-diagonal curvature are different quantities: a separable cubic scaled
 by a large constant keeps a zero penalty while its path length grows
 without bound.
 
-All estimators are pure given a seed; Monte-Carlo batches evaluate in
-vectorized order so results are reproducible.
+All estimators are pure given a seed. Their forwards run under no_grad in
+row blocks whose outputs hold at most ``_BLOCK_ELEMENTS`` float64 values,
+each reduced as soon as it returns: a block and its temporaries stay in
+cache, where a large fresh output has the kernel map its pages one fault
+at a time on every call. A row's value and every reduction are the same
+for any split, so results do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -29,6 +33,8 @@ from .errors import ContractViolation, DegeneracyError
 from .penalty import evaluate_with_taps
 
 _PARALLEL_EPS = 1e-6
+# float64 elements one block of a metric's forward output may hold (1 MiB)
+_BLOCK_ELEMENTS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -88,18 +94,33 @@ def slerp(a, b, alpha: float) -> np.ndarray:
     return np.sin((1.0 - alpha) * omega) / s * a + np.sin(alpha * omega) / s * b
 
 
-def _eval_np(fn, z: np.ndarray) -> np.ndarray:
-    with ad.no_grad():
-        out, _ = evaluate_with_taps(fn, ad.Tensor(z))
-    return out.values
+def _row_blocks(fn, z: np.ndarray, unit: int):
+    """Yield ``(start, out)``, the values of ``fn`` on ``z[start:start + len(out)]``.
+
+    Each block is one call under no_grad on whole units of ``unit`` rows.
+    The first block is a single unit; its output width sets the size of
+    the rest: as many units as keep the output within ``_BLOCK_ELEMENTS``,
+    and at least one.
+    """
+    def call(rows: np.ndarray) -> np.ndarray:
+        with ad.no_grad():
+            out, _ = evaluate_with_taps(fn, ad.Tensor(rows))
+        return out.values
+
+    out = call(z[:unit])
+    yield 0, out
+    rows = max(1, _BLOCK_ELEMENTS // (out[0].size * unit)) * unit
+    for start in range(unit, len(z), rows):
+        yield start, call(z[start:start + rows])
 
 
 def _sweep_scores(fn, dim: int, components, n_base: int, n_sweep: int, seed: int) -> np.ndarray:
-    """Activeness of each listed component, from one forward call over all sweeps.
+    """Activeness of each listed component, over row blocks of whole sweeps.
 
     Every component shares the same base latents and sweep values, drawn
     from ``seed``; the (components, n_base, n_sweep, dim) batch holds each
-    base latent with one component replaced by its sweep values.
+    base latent with one component replaced by its sweep values. Each
+    block reduces to one score per (component, base latent) pair.
     """
     if n_base < 2 or n_sweep < 2:
         raise ContractViolation("n_base and n_sweep must be >= 2")
@@ -110,15 +131,14 @@ def _sweep_scores(fn, dim: int, components, n_base: int, n_sweep: int, seed: int
     batch[...] = base[:, None, :]
     for i, component in enumerate(components):
         batch[i, :, :, component] = sweeps
-    out = _eval_np(fn, batch.reshape(-1, dim))
-    out = out.reshape(batch.shape[:3] + out.shape[1:])
-    scores = np.empty(len(components))
-    # one component at a time keeps the variance temporaries small enough to stay in cache
-    for i, swept in enumerate(out):
+    per_base = []
+    for _, out in _row_blocks(fn, batch.reshape(-1, dim), n_sweep):
+        swept = out.reshape((-1, n_sweep) + out.shape[1:])
         # shift each sweep by its first row: identical sweeps then score exactly zero
         swept -= swept[:, :1]
-        scores[i] = np.var(swept, axis=1, ddof=1).mean(axis=-1).mean()
-    return scores
+        var = np.var(swept, axis=1, ddof=1)
+        per_base.append(var.reshape(len(var), -1).mean(axis=1))
+    return np.concatenate(per_base).reshape(len(components), -1).mean(axis=1)
 
 
 def activeness(fn, dim: int, component: int, n_base: int = 64, n_sweep: int = 16,
@@ -169,9 +189,14 @@ def ppl(fn, dim: int, config: PPLConfig = PPLConfig(), seed: int = 0) -> PPLResu
     cb = np.where(lerp, config.alpha, np.sin(config.alpha * wk) / s)
     zs = ca[:, None] * z1k + cb[:, None] * z2k
 
-    out1 = _eval_np(fn, z1k)
-    out2 = _eval_np(fn, zs)
-    d = np.sum((out1 - out2) ** 2, axis=1) / (config.alpha * config.alpha)
+    # row 2i is pair i's first point, row 2i + 1 its interpolant
+    pairs = np.stack([z1k, zs], axis=1).reshape(-1, dim)
+    d = np.empty(len(z1k))
+    for start, out in _row_blocks(fn, pairs, 2):
+        out = out.reshape((-1, 2) + out.shape[1:])
+        i = start // 2
+        d[i:i + len(out)] = np.sum((out[:, 0] - out[:, 1]) ** 2, axis=1)
+    d /= config.alpha * config.alpha
     n = d.size
     se = float(d.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
     return PPLResult(value=float(d.mean()), std_error=se, samples=n,

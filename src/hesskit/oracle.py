@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ContractViolation
-from .penalty import evaluate_with_taps, exact_offdiag_penalty
+from .penalty import _check_epsilon, evaluate_with_taps, exact_offdiag_penalty
 
 ENUMERATION_LIMIT = 20
 _CHUNK = 1 << 16
@@ -84,8 +84,7 @@ def hessian_sets_for(fn, zs, epsilon: float) -> list[HessianSet]:
     stencil rows; the stencils of all points are stacked into one (S*P, n)
     batch, and a point's result does not depend on the others.
     """
-    if not epsilon > 0.0:
-        raise ContractViolation(f"epsilon must be positive, got {epsilon}")
+    _check_epsilon(epsilon)
     zs = np.asarray(zs, dtype=np.float64)
     if zs.ndim != 2 or 0 in zs.shape:
         raise ContractViolation(f"expected a non-empty (S, n) array of points, got {zs.shape}")

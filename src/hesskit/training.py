@@ -382,6 +382,8 @@ def discover_directions(
         raise ContractViolation(f"n_directions must be in [1, {dim}], got {n_directions}")
     if steps < 0:
         raise ContractViolation(f"steps must be >= 0, got {steps}")
+    if not 0.0 <= eta_range < np.inf:
+        raise ContractViolation(f"eta_range must be non-negative and finite, got {eta_range}")
     pcfg = config or PenaltyConfig(epsilon=0.1, k=2, reduction="mean", taps=())
 
     seeds = np.random.SeedSequence(seed).generate_state(3)

@@ -289,6 +289,14 @@ def test_malformed_dataset_manifest_is_a_contract_violation(tmp_path, capsys, ca
     ["hessdump", "--fn", "z1z2", "--samples", "-2"],
     ["hessdump", "--fn", "z1z2", "--samples", "0"],
     ["directions", "--fn", "z1z2", "--directions", "0", "--steps", "1"],
+    # 1/eps^2 of 1e-300 overflows, and a shift range must be a finite width
+    ["eval", "--fn", "z1z2", "--ppl-samples", "16", "--hess-eps", "1e-300"],
+    ["eval", "--fn", "z1z2", "--ppl-samples", "16", "--hess-eps", "inf"],
+    ["hessdump", "--fn", "z1z2", "--eps", "1e-300"],
+    ["hessdump", "--fn", "z1z2", "--eps", "inf"],
+    ["directions", "--fn", "z1z2", "--steps", "1", "--eta-range", "-1"],
+    ["directions", "--fn", "z1z2", "--steps", "1", "--eta-range", "inf"],
+    ["directions", "--fn", "z1z2", "--steps", "1", "--eta-range", "nan"],
 ], ids=lambda argv: " ".join(argv))
 def test_empty_or_negative_counts_exit_one(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path / "x")]) == 1
@@ -302,3 +310,4 @@ def test_threads_is_not_an_option(tmp_path, capsys):
     assert main(["hessdump", "--fn", "z1z2", "--config", str(cfg_file),
                  "--out", str(tmp_path / "y")]) == 1
     assert "unknown config key 'threads'" in capsys.readouterr().err
+

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from hesskit import autodiff as ad
+from hesskit import metrics
 from hesskit.errors import ContractViolation, DegeneracyError
 from hesskit.functions import QuadraticForm, get_function
 from hesskit.metrics import PPLConfig, activeness, activeness_profile, ppl, slerp
+from hesskit.nets import Generator
 
 
 class Linear:
@@ -112,3 +114,66 @@ class TestPPL:
     def test_config_validation(self):
         with pytest.raises(ContractViolation):
             PPLConfig(alpha=0.0)
+
+
+class Recorded:
+    """Delegates to ``fn`` and records the rows of every call."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.rows = []
+
+    def __call__(self, z):
+        self.rows.append(z.shape[0])
+        return self.fn(z)
+
+
+BLOCKED_FNS = {
+    "generator-768": lambda: (Generator(latent_dim=3, seed=4), 3, 768),
+    "generator-768-dim1": lambda: (Generator(latent_dim=1, seed=5), 1, 768),
+    "rotated-separable": lambda: (get_function("rotated-separable", seed=2), 4, 4),
+}
+
+
+class TestRowBlocks:
+    """A small output budget splits each metric into many blocks, the last one
+    ragged; every value must equal the one-block value bit for bit."""
+
+    @staticmethod
+    def both(monkeypatch, width, run):
+        # 12 rows per block: 6 path-length pairs, or 3 sweeps of 4
+        monkeypatch.setattr(metrics, "_BLOCK_ELEMENTS", 12 * width)
+        blocked = run()
+        monkeypatch.setattr(metrics, "_BLOCK_ELEMENTS", 1 << 62)
+        return blocked, run()
+
+    @pytest.mark.parametrize("name", sorted(BLOCKED_FNS))
+    def test_ppl_matches_one_block(self, monkeypatch, name):
+        fn, dim, width = BLOCKED_FNS[name]()
+        blocked, whole = self.both(
+            monkeypatch, width, lambda: ppl(fn, dim, PPLConfig(samples=41), seed=3))
+        assert blocked.to_dict() == whole.to_dict()
+        if dim == 1:  # half the pairs are antiparallel in one dimension
+            assert blocked.skipped > 0
+
+    @pytest.mark.parametrize("name", sorted(BLOCKED_FNS))
+    def test_activeness_matches_one_block(self, monkeypatch, name):
+        fn, dim, width = BLOCKED_FNS[name]()
+        blocked, whole = self.both(monkeypatch, width, lambda: (
+            activeness_profile(fn, dim, n_base=5, n_sweep=4, seed=6),
+            activeness(fn, dim, dim - 1, n_base=11, n_sweep=4, seed=7)))
+        assert blocked[0].tobytes() == whole[0].tobytes()
+        assert blocked[1] == whole[1]
+
+    def test_calls_after_the_first_fit_the_budget(self, monkeypatch):
+        fn, dim, width = BLOCKED_FNS["generator-768"]()
+        budget = 12 * width
+        monkeypatch.setattr(metrics, "_BLOCK_ELEMENTS", budget)
+        for run in (lambda f: ppl(f, dim, PPLConfig(samples=41), seed=3),
+                    lambda f: activeness_profile(f, dim, n_base=5, n_sweep=4, seed=6)):
+            recorded = Recorded(fn)
+            run(recorded)
+            first, *rest = recorded.rows
+            assert first in (2, 4)  # one pair, or one sweep
+            assert len(rest) > 2 and max(rest) <= budget // width
+            assert rest[-1] < rest[0]  # ragged last block

@@ -12,6 +12,7 @@ import sys
 import numpy as np
 
 import hesskit
+import hesskit.cli  # noqa: F401  the tracer wraps cli.main; the package does not import it
 
 TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                       "perfbench", "tracer.py")
