@@ -2,10 +2,14 @@
 
 The engine is deliberately small: a fresh computation record is built for
 every evaluation (while gradients are enabled), and ``backward`` walks that
-record in reverse topological order, accumulating into ``Parameter``
-gradients. Only the primitives the toolkit actually needs are provided:
-matrix multiply, bias add, elementwise arithmetic and scaling, tanh, the
-leaky rectifier, softplus, square, sum / mean / variance / max reductions,
+record in reverse topological order, accumulating in place (``+=``) into
+``Parameter`` gradients, which an optimizer may hold as views of its own
+buffer. The binary vjps return None for a parent that needs no gradient (a
+constant, or a frozen parameter) instead of computing its product, so a
+frozen network costs only the products that reach the trainable side.
+Only the primitives the toolkit actually needs are provided: matrix
+multiply, bias add, elementwise arithmetic and scaling, tanh, the leaky
+rectifier, softplus, square, sum / mean / variance / max reductions,
 stacking, reshaping and feature normalization.
 
 Everything is float64; finite-difference losses divide second differences
@@ -56,7 +60,7 @@ class Tensor:
 
     def __init__(self, values, requires_grad: bool = False):
         arr = np.asarray(values, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NumericError("non-finite values in tensor construction")
         self.values = arr
         self.requires_grad = bool(requires_grad)
@@ -129,31 +133,32 @@ class Parameter(Tensor):
 
     Gradients accumulate additively across backward calls until
     :meth:`zero_grad` resets them. Set ``requires_grad = False`` to freeze
-    the parameter (its accumulator is then never touched).
+    the parameter (its accumulator is then never touched). ``values`` and
+    ``grad`` are only ever written in place, so they may be views into an
+    optimizer's flat buffers; the constructor copies its input, so such a
+    write never reaches the caller's array.
     """
 
     __slots__ = ("name", "grad")
 
     def __init__(self, name: str, values):
-        super().__init__(values, requires_grad=True)
+        super().__init__(np.array(values, dtype=np.float64), requires_grad=True)
         self.name = str(name)
         self.grad = np.zeros_like(self.values)
 
     def zero_grad(self) -> None:
-        self.grad = np.zeros_like(self.values)
+        self.grad.fill(0.0)
 
     def assign(self, values) -> None:
-        """Replace the value in an optimizer step; shape must be preserved."""
+        """Overwrite the value in place; shape must be preserved."""
         arr = np.asarray(values, dtype=np.float64)
         if arr.shape != self.values.shape:
             raise ContractViolation(
                 f"parameter {self.name!r}: assign shape {arr.shape} != {self.values.shape}"
             )
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NumericError(f"non-finite update for parameter {self.name!r}")
-        self.values = arr
-        if self.grad.shape != arr.shape:
-            self.grad = np.zeros_like(arr)
+        self.values[...] = arr
 
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, shape={self.shape})"
@@ -165,19 +170,19 @@ def _coerce(x) -> Tensor:
 
 def _make(kind: str, out_values: np.ndarray, parents: tuple, vjp) -> Tensor:
     """Wrap a primitive result, recording it when gradients are enabled."""
-    if not np.all(np.isfinite(out_values)):
+    if not np.isfinite(out_values).all():
         raise NumericError(f"non-finite result in op {kind!r}")
     out = Tensor.__new__(Tensor)
     out.values = out_values
     out.op = kind
-    if grad_enabled() and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = parents
-        out._vjp = vjp
-    else:
-        out.requires_grad = False
-        out._parents = ()
-        out._vjp = None
+    out.requires_grad = False
+    out._parents = ()
+    out._vjp = None
+    if grad_enabled():
+        for p in parents:
+            if p.requires_grad:
+                out.requires_grad, out._parents, out._vjp = True, parents, vjp
+                break
     return out
 
 
@@ -203,7 +208,8 @@ def add(a, b) -> Tensor:
         raise ContractViolation(f"add: shapes {a.shape} and {b.shape} do not conform") from exc
 
     def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.shape) if b.requires_grad else None)
 
     return _make("add", out, (a, b), vjp)
 
@@ -216,7 +222,8 @@ def sub(a, b) -> Tensor:
         raise ContractViolation(f"sub: shapes {a.shape} and {b.shape} do not conform") from exc
 
     def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                _unbroadcast(-g, b.shape) if b.requires_grad else None)
 
     return _make("sub", out, (a, b), vjp)
 
@@ -229,7 +236,8 @@ def mul(a, b) -> Tensor:
         raise ContractViolation(f"mul: shapes {a.shape} and {b.shape} do not conform") from exc
 
     def vjp(g):
-        return _unbroadcast(g * b.values, a.shape), _unbroadcast(g * a.values, b.shape)
+        return (_unbroadcast(g * b.values, a.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.values, b.shape) if b.requires_grad else None)
 
     return _make("mul", out, (a, b), vjp)
 
@@ -256,12 +264,14 @@ def matmul(a, b) -> Tensor:
     def vjp(g):
         av, bv = a.values, b.values
         if av.ndim == 2 and bv.ndim == 2:
-            return g @ bv.T, av.T @ g
-        if av.ndim == 2 and bv.ndim == 1:
-            return np.outer(g, bv), av.T @ g
-        if av.ndim == 1 and bv.ndim == 2:
-            return bv @ g, np.outer(av, g)
-        return g * bv, g * av  # 1-D dot product
+            ga, gb = lambda: g @ bv.T, lambda: av.T @ g
+        elif av.ndim == 2:
+            ga, gb = lambda: np.outer(g, bv), lambda: av.T @ g
+        elif bv.ndim == 2:
+            ga, gb = lambda: bv @ g, lambda: np.outer(av, g)
+        else:  # 1-D dot product
+            ga, gb = lambda: g * bv, lambda: g * av
+        return ga() if a.requires_grad else None, gb() if b.requires_grad else None
 
     return _make("matmul", out, (a, b), vjp)
 
@@ -338,9 +348,9 @@ def _reduce_var(a, axis, ddof: int) -> Tensor:
     if n <= ddof:
         raise ContractViolation(f"variance over {n} values with ddof={ddof}")
     out = np.var(a.values, axis=axis, ddof=ddof)
-    centered = a.values - np.mean(a.values, axis=axis, keepdims=axis is not None)
 
     def vjp(g):
+        centered = a.values - np.mean(a.values, axis=axis, keepdims=axis is not None)
         return (_expand(g, axis, a.shape) * (2.0 / (n - ddof)) * centered,)
 
     return _make("var", out, (a,), vjp)
@@ -448,7 +458,7 @@ def backward(loss: Tensor) -> None:
         if g is None:
             continue
         if isinstance(node, Parameter):
-            node.grad = node.grad + g
+            node.grad += g
             continue
         if node._vjp is None:
             continue
@@ -484,7 +494,12 @@ def gradient_check(loss_fn, parameters, step: float, tolerance: float) -> Gradie
     """Compare backward() gradients of ``loss_fn()`` against central finite differences.
 
     ``loss_fn`` must be a deterministic closure over ``parameters`` returning a
-    scalar Tensor. Existing gradient accumulators are reset.
+    scalar Tensor. Existing gradient accumulators are reset. An entry's error
+    is its gap relative to the larger of the two gradients, floored at
+    ``rounding / tolerance``: ``rounding = 16 eps |loss| / step`` bounds the
+    rounding of the central difference itself, and a gap within it passes,
+    since a gradient that is zero in exact arithmetic has a finite
+    difference made of rounding only.
     """
     if step <= 0.0 or tolerance <= 0.0:
         raise ContractViolation("gradient_check: step and tolerance must be positive")
@@ -493,10 +508,13 @@ def gradient_check(loss_fn, parameters, step: float, tolerance: float) -> Gradie
     if not params:
         return report
     for p in params:
-        if not np.all(np.isfinite(p.values)):
+        if not np.isfinite(p.values).all():
             raise ContractViolation(f"gradient_check: parameter {p.name!r} is not finite")
         p.zero_grad()
-    backward(loss_fn())
+    loss = loss_fn()
+    backward(loss)
+    rounding = 16.0 * np.finfo(np.float64).eps * abs(loss.item()) / step
+    floor = max(1e-8, rounding / tolerance)
     analytic = {p.name: p.grad.copy() for p in params}
     with no_grad():
         for p in params:
@@ -510,6 +528,6 @@ def gradient_check(loss_fn, parameters, step: float, tolerance: float) -> Gradie
                 p.values.flat[i] = orig
                 fd.flat[i] = (f_plus - f_minus) / (2.0 * step)
             a = analytic[p.name]
-            denom = np.maximum(np.maximum(np.abs(a), np.abs(fd)), 1e-8)
+            denom = np.maximum(np.maximum(np.abs(a), np.abs(fd)), floor)
             report.per_parameter[p.name] = float(np.max(np.abs(a - fd) / denom))
     return report

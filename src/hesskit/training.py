@@ -54,7 +54,15 @@ def warmup_weight(t: int, warmup_steps: int, weight: float) -> float:
 
 
 class Adam:
-    """Adaptive first-order optimizer with bias-corrected moments."""
+    """Adaptive first-order optimizer with bias-corrected moments.
+
+    The optimizer copies its parameters' values and gradients into two flat
+    buffers and makes each ``Parameter.values`` and ``.grad`` a reshaped
+    view of its slice, so a step is a dozen whole-buffer ufunc calls with
+    one finite check. One optimizer owns a parameter: a later ``Adam`` over
+    the same parameters copies their current values and takes them over,
+    and the earlier one no longer updates them.
+    """
 
     def __init__(self, parameters, lr: float, beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8):
@@ -65,25 +73,39 @@ class Adam:
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)
         self.eps = float(eps)
-        self._m = [np.zeros_like(p.values) for p in self.parameters]
-        self._v = [np.zeros_like(p.values) for p in self.parameters]
+        self._offsets = np.cumsum([0] + [p.size for p in self.parameters])
+        self._values, self._grads = np.empty(self._offsets[-1]), np.empty(self._offsets[-1])
+        for p, lo, hi in zip(self.parameters, self._offsets, self._offsets[1:]):
+            self._values[lo:hi], self._grads[lo:hi] = p.values.ravel(), p.grad.ravel()
+            p.values = self._values[lo:hi].reshape(p.shape)
+            p.grad = self._grads[lo:hi].reshape(p.shape)
+        self._m, self._v = np.zeros_like(self._values), np.zeros_like(self._values)
         self._t = 0
 
     def zero_grad(self) -> None:
-        for p in self.parameters:
-            p.zero_grad()
+        self._grads.fill(0.0)
 
     def step(self) -> None:
         self._t += 1
         b1c = 1.0 - self.beta1**self._t
         b2c = 1.0 - self.beta2**self._t
-        for i, p in enumerate(self.parameters):
-            g = p.grad
-            self._m[i] = self.beta1 * self._m[i] + (1.0 - self.beta1) * g
-            self._v[i] = self.beta2 * self._v[i] + (1.0 - self.beta2) * g * g
-            m_hat = self._m[i] / b1c
-            v_hat = self._v[i] / b2c
-            p.assign(p.values - self.lr * m_hat / (np.sqrt(v_hat) + self.eps))
+        m, v, g = self._m, self._v, self._grads
+        # values - lr * (m / b1c) / (sqrt(v / b2c) + eps) one ufunc at a time, in
+        # the per-parameter formula's order (bit-identical); scratch is per step
+        s, u = np.empty_like(g), np.empty_like(g)
+        np.multiply(m, self.beta1, out=m)
+        np.add(m, np.multiply(g, 1.0 - self.beta1, out=s), out=m)
+        np.multiply(v, self.beta2, out=v)
+        np.multiply(np.multiply(g, 1.0 - self.beta2, out=s), g, out=s)
+        np.add(v, s, out=v)
+        np.multiply(np.divide(m, b1c, out=s), self.lr, out=s)
+        np.add(np.sqrt(np.divide(v, b2c, out=u), out=u), self.eps, out=u)
+        np.subtract(self._values, np.divide(s, u, out=s), out=s)
+        if not np.isfinite(s).all():
+            first = int(np.argmin(np.isfinite(s)))
+            p = self.parameters[np.searchsorted(self._offsets, first, side="right") - 1]
+            raise NumericError(f"non-finite update for parameter {p.name!r}")
+        self._values[...] = s
 
 
 @dataclass(frozen=True)

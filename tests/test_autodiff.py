@@ -162,6 +162,41 @@ def test_primitive_gradient_matches_central_differences(name):
     assert report.passed, f"{name}: max rel error {report.max_rel_error:.3e}"
 
 
+# (op, shape of a, shape of b): broadcasting and every matmul rank pair
+_BINARY = {
+    "add": (ad.add, (3, 4), (4,)),
+    "sub": (ad.sub, (3, 4), (1, 4)),
+    "mul": (ad.mul, (3, 4), (3, 4)),
+    "matmul": (ad.matmul, (3, 4), (4, 2)),
+    "matvec": (ad.matmul, (3, 4), (4,)),
+    "vecmat": (ad.matmul, (4,), (4, 2)),
+    "dot": (ad.matmul, (4,), (4,)),
+}
+
+
+@pytest.mark.parametrize("frozen", [0, 1])
+@pytest.mark.parametrize("name", sorted(_BINARY))
+def test_vjp_computes_nothing_for_a_frozen_operand(name, frozen):
+    op, shape_a, shape_b = _BINARY[name]
+
+    def run(freeze):
+        rng = np.random.default_rng(5)
+        params = [ad.Parameter("a", rng.normal(size=shape_a)),
+                  ad.Parameter("b", rng.normal(size=shape_b))]
+        params[frozen].requires_grad = not freeze
+        out = op(*params)
+        weights = rng.normal(size=out.shape)
+        ad.backward(ad.mul(out, ad.Tensor(weights)).sum())
+        return params, out._vjp(weights)
+
+    reference, _ = run(freeze=False)
+    params, parts = run(freeze=True)
+    assert parts[frozen] is None
+    assert np.array_equal(params[frozen].grad, np.zeros(params[frozen].shape))
+    trained = 1 - frozen
+    assert np.array_equal(params[trained].grad, reference[trained].grad)
+
+
 def test_backward_linearity():
     rng = np.random.default_rng(3)
     p = ad.Parameter("p", rng.normal(size=(4, 4)))

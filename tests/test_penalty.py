@@ -390,10 +390,34 @@ class TestRowBlocks:
             return hessian_penalty_estimate(g, z, config, probes=probes).scalar
 
         # the head bias cancels out of every second difference: its gradient is 0
-        # and a finite difference of it is rounding only, so it is left out
-        params = [p for p in g.parameters() if p.name != "head.bias"]
-        report = ad.gradient_check(loss_fn, params, step=1e-5, tolerance=1e-4)
+        # and a finite difference of it is rounding only
+        report = ad.gradient_check(loss_fn, g.parameters(), step=1e-5, tolerance=1e-4)
+        assert "head.bias" in report.per_parameter
         assert report.passed, f"max rel error {report.max_rel_error:.3e}"
+
+    def test_gradient_check_catches_a_vjp_one_percent_off(self, monkeypatch):
+        g, z, probes = self.setup_case(rows=5, k=2)
+        monkeypatch.setattr(penalty, "_BLOCK", 2)
+        config = PenaltyConfig(k=2, reduction="mean", taps=("norm2", "output"))
+        real_tanh = ad.tanh
+
+        def wrong_tanh(a):
+            out = real_tanh(a)
+            if out._vjp is not None:
+                vjp = out._vjp
+                out._vjp = lambda grad: tuple(1.01 * x for x in vjp(grad))
+            return out
+
+        monkeypatch.setattr(ad, "tanh", wrong_tanh)
+
+        def loss_fn():
+            return hessian_penalty_estimate(g, z, config, probes=probes).scalar
+
+        report = ad.gradient_check(loss_fn, g.parameters(), step=1e-5, tolerance=1e-4)
+        assert not report.passed
+        # the hidden blocks sit below a tanh whose vjp is wrong, the head does not
+        assert min(report.per_parameter[f"hidden.{i}.weight"] for i in (0, 1)) > 1e-3
+        assert max(report.per_parameter[f"head.{n}"] for n in ("weight", "bias")) <= 1e-4
 
 
 class Summed:

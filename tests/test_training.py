@@ -77,6 +77,68 @@ class TestAdam:
             opt.step()
         assert np.max(np.abs(p.values)) <= 1e-3
 
+    @staticmethod
+    def mixed_parameters():
+        rng = np.random.default_rng(21)
+        shapes = {"w": (4, 3), "b": (3,), "s": (), "c": (1, 5)}
+        return [ad.Parameter(name, rng.normal(size=shape)) for name, shape in shapes.items()]
+
+    @staticmethod
+    def loss(params):
+        w, b, s, c = params
+        h = ad.tanh(ad.matmul(ad.Tensor(np.ones((2, 4))), w) + b)
+        return ad.square(h).sum() + ad.square(s) * 3.0 + ad.softplus(c).mean()
+
+    @pytest.mark.parametrize("betas", [(0.9, 0.999), (0.0, 0.99)])
+    def test_flat_buffer_matches_per_parameter_formula_bit_for_bit(self, betas):
+        b1, b2 = betas
+        lr, eps = 0.05, 1e-8
+        params, ref = self.mixed_parameters(), self.mixed_parameters()
+        opt = Adam(params, lr, b1, b2, eps)
+        m = [np.zeros_like(p.values) for p in ref]
+        v = [np.zeros_like(p.values) for p in ref]
+        for t in range(1, 51):
+            opt.zero_grad()
+            ad.backward(self.loss(params))
+            opt.step()
+            for p in ref:
+                p.zero_grad()
+            ad.backward(self.loss(ref))
+            for i, p in enumerate(ref):
+                g = p.grad
+                m[i] = b1 * m[i] + (1.0 - b1) * g
+                v[i] = b2 * v[i] + (1.0 - b2) * g * g
+                m_hat = m[i] / (1.0 - b1**t)
+                v_hat = v[i] / (1.0 - b2**t)
+                p.assign(p.values - lr * m_hat / (np.sqrt(v_hat) + eps))
+            for p, q in zip(params, ref):
+                assert p.values.shape == q.values.shape
+                assert np.array_equal(p.values, q.values), (t, p.name)
+                assert np.array_equal(p.grad, q.grad), (t, p.name)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_nonfinite_update_names_the_parameter_and_changes_nothing(self):
+        params = self.mixed_parameters()
+        opt = Adam(params, lr=0.1)
+        opt.zero_grad()
+        ad.backward(self.loss(params))
+        before = [p.values.copy() for p in params]
+        params[2].grad[...] = np.inf  # the 0-d "s": its update is inf / inf
+        with pytest.raises(NumericError, match="'s'"):
+            opt.step()
+        for p, old in zip(params, before):
+            assert np.array_equal(p.values, old)
+
+    def test_parameter_never_writes_into_its_source_array(self):
+        source = np.array([[1.0, 2.0], [3.0, 4.0]])
+        p = ad.Parameter("p", source)
+        p.assign(np.zeros((2, 2)))
+        opt = Adam([p], lr=0.1)
+        ad.backward(ad.square(p).sum() + p.sum())
+        opt.step()
+        assert np.array_equal(source, [[1.0, 2.0], [3.0, 4.0]])
+        assert p.values[0, 0] == pytest.approx(-0.1)
+
 
 class TestTrainerDeterminism:
     def test_lambda_zero_matches_baseline_trajectory(self):
@@ -87,6 +149,27 @@ class TestTrainerDeterminism:
         for a, b in zip(res_zero.generator.parameters(), res_base.generator.parameters()):
             assert np.array_equal(a.values, b.values)
         assert strip_clock(res_zero.log.records) == strip_clock(res_base.log.records)
+
+    def test_gan_step_leaves_discriminator_gradients_as_its_update_left_them(self):
+        from hesskit.training import Trainer
+
+        trainer = Trainer(TrainConfig(mode="gan", dataset="1fov", latent_dim=2, steps=0,
+                                      batch_size=8, dataset_size=64, warmup_steps=2,
+                                      penalty_weight=0.1, seed=2))
+        d_params = trainer.discriminator.parameters()
+        left = []
+        d_step = trainer.opt_d.step
+
+        def step_and_record():
+            d_step()
+            left[:] = [p.grad.copy() for p in d_params]
+
+        trainer.opt_d.step = step_and_record
+        for t in range(3):
+            trainer.gan_step(trainer.dataset.observations[8 * t:8 * t + 8], t)
+            assert any(np.any(g != 0.0) for g in left)
+            for p, g in zip(d_params, left):
+                assert np.array_equal(p.grad, g), p.name
 
     def test_penalty_gradient_vanishes_at_step_zero(self):
         # lambda_0 = 0, so one step with any weight matches one lambda=0 step
