@@ -161,15 +161,19 @@ def _build_parser() -> _Parser:
 
 def _read_config_file(path: str) -> dict[str, str]:
     values = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ContractViolation(f"{path}:{lineno}: expected key=value, got {raw.rstrip()!r}")
-            key, value = line.split("=", 1)
-            values[key.strip()] = value.strip()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ContractViolation(f"{path}: config file is not UTF-8 text") from exc
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ContractViolation(f"{path}:{lineno}: expected key=value, got {raw.rstrip()!r}")
+        key, value = line.split("=", 1)
+        values[key.strip()] = value.strip()
     return values
 
 
@@ -334,11 +338,11 @@ def _estimate_report(fn, z: np.ndarray, pconf: PenaltyConfig, repeat: int, seed:
 
 
 def _parse_dims(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        dims = list(range(int(lo), int(hi) + 1))
-    else:
-        dims = [int(part) for part in text.split(",")]
+    lo, dotted, hi = text.partition("..")
+    try:
+        dims = list(range(int(lo), int(hi) + 1)) if dotted else [int(p) for p in text.split(",")]
+    except ValueError as exc:
+        raise ContractViolation(f"cannot parse dimension range {text!r}") from exc
     if not dims or min(dims) < 2:
         raise ContractViolation(f"dimension range {text!r} must start at 2")
     return dims
@@ -467,6 +471,7 @@ def _cmd_directions(cfg: dict, out: str) -> int:
 
 def _cmd_eval(cfg: dict, out: str) -> int:
     n_points = _at_least(cfg, "hess-samples", 1)
+    pconf = PPLConfig(alpha=cfg["alpha"], samples=cfg["ppl-samples"])
     fn, dim, _is_gen = _load_function(cfg)
     seed = cfg["seed"]
     # the Hessians go first, so an unusable --hess-eps fails before the sweeps run
@@ -476,8 +481,7 @@ def _cmd_eval(cfg: dict, out: str) -> int:
     diag = diagonality_metrics(sets)
     act = activeness_profile(fn, dim, n_base=cfg["act-base"], n_sweep=cfg["act-sweep"],
                              seed=seed)
-    ppl_result = ppl(fn, dim, PPLConfig(alpha=cfg["alpha"], samples=cfg["ppl-samples"]),
-                     seed=seed)
+    ppl_result = ppl(fn, dim, pconf, seed=seed)
     _write_json(os.path.join(out, "reports", "metrics.json"), {
         "seed": seed,
         "config": {k: v for k, v in cfg.items() if k != "out"},

@@ -171,6 +171,8 @@ _SEPARABLE_C = np.array([1.0, 1.0, -1.0, 0.5])
 
 def get_function(name: str, dim: int | None = None, beta: float = 1.0, seed: int = 0):
     """Look up a registry function by name."""
+    if dim is not None and dim < 1:
+        raise ContractViolation(f"dim must be >= 1, got {dim}")
     if name == "z1z2":
         return QuadraticForm([[0.0, 1.0], [1.0, 0.0]])
     if name == "separable-cubic":

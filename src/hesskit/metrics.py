@@ -15,7 +15,7 @@ by a large constant keeps a zero penalty while its path length grows
 without bound.
 
 All estimators are pure given a seed. Their forwards run under no_grad in
-row blocks whose outputs hold at most ``_BLOCK_ELEMENTS`` float64 values,
+the row blocks of ``penalty.row_blocks`` (whole pairs or whole sweeps),
 each reduced as soon as it returns: a block and its temporaries stay in
 cache, where a large fresh output has the kernel map its pages one fault
 at a time on every call. A row's value and every reduction are the same
@@ -28,13 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from .errors import ContractViolation, DegeneracyError
-from .penalty import evaluate_with_taps
+from .penalty import forward_values, row_blocks
 
 _PARALLEL_EPS = 1e-6
-# float64 elements one block of a metric's forward output may hold (1 MiB)
-_BLOCK_ELEMENTS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -45,8 +42,8 @@ class PPLConfig:
     samples: int = 10000
 
     def __post_init__(self):
-        if not self.alpha > 0.0:
-            raise ContractViolation(f"alpha must be positive, got {self.alpha}")
+        if not 0.0 < self.alpha < np.inf:
+            raise ContractViolation(f"alpha must be positive and finite, got {self.alpha}")
         if self.samples < 1:
             raise ContractViolation(f"samples must be >= 1, got {self.samples}")
 
@@ -94,26 +91,6 @@ def slerp(a, b, alpha: float) -> np.ndarray:
     return np.sin((1.0 - alpha) * omega) / s * a + np.sin(alpha * omega) / s * b
 
 
-def _row_blocks(fn, z: np.ndarray, unit: int):
-    """Yield ``(start, out)``, the values of ``fn`` on ``z[start:start + len(out)]``.
-
-    Each block is one call under no_grad on whole units of ``unit`` rows.
-    The first block is a single unit; its output width sets the size of
-    the rest: as many units as keep the output within ``_BLOCK_ELEMENTS``,
-    and at least one.
-    """
-    def call(rows: np.ndarray) -> np.ndarray:
-        with ad.no_grad():
-            out, _ = evaluate_with_taps(fn, ad.Tensor(rows))
-        return out.values
-
-    out = call(z[:unit])
-    yield 0, out
-    rows = max(1, _BLOCK_ELEMENTS // (out[0].size * unit)) * unit
-    for start in range(unit, len(z), rows):
-        yield start, call(z[start:start + rows])
-
-
 def _sweep_scores(fn, dim: int, components, n_base: int, n_sweep: int, seed: int) -> np.ndarray:
     """Activeness of each listed component, over row blocks of whole sweeps.
 
@@ -131,8 +108,9 @@ def _sweep_scores(fn, dim: int, components, n_base: int, n_sweep: int, seed: int
     batch[...] = base[:, None, :]
     for i, component in enumerate(components):
         batch[i, :, :, component] = sweeps
+    units = batch.reshape(-1, n_sweep, dim)
     per_base = []
-    for _, out in _row_blocks(fn, batch.reshape(-1, dim), n_sweep):
+    for _, out in row_blocks(len(units), n_sweep, lambda lo, hi: forward_values(fn, units[lo:hi])):
         swept = out.reshape((-1, n_sweep) + out.shape[1:])
         # shift each sweep by its first row: identical sweeps then score exactly zero
         swept -= swept[:, :1]
@@ -189,12 +167,10 @@ def ppl(fn, dim: int, config: PPLConfig = PPLConfig(), seed: int = 0) -> PPLResu
     cb = np.where(lerp, config.alpha, np.sin(config.alpha * wk) / s)
     zs = ca[:, None] * z1k + cb[:, None] * z2k
 
-    # row 2i is pair i's first point, row 2i + 1 its interpolant
-    pairs = np.stack([z1k, zs], axis=1).reshape(-1, dim)
+    pairs = np.stack([z1k, zs], axis=1)  # each pair's first point, then its interpolant
     d = np.empty(len(z1k))
-    for start, out in _row_blocks(fn, pairs, 2):
+    for i, out in row_blocks(len(pairs), 2, lambda lo, hi: forward_values(fn, pairs[lo:hi])):
         out = out.reshape((-1, 2) + out.shape[1:])
-        i = start // 2
         d[i:i + len(out)] = np.sum((out[:, 0] - out[:, 1]) ** 2, axis=1)
     d /= config.alpha * config.alpha
     n = d.size

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from .errors import ContractViolation
-from .penalty import _check_epsilon, evaluate_with_taps, exact_offdiag_penalty
+from .penalty import _check_epsilon, exact_offdiag_penalty, forward_values, row_blocks
 
 ENUMERATION_LIMIT = 20
 _CHUNK = 1 << 16
@@ -72,7 +71,7 @@ def exact_hessian_fd(fn, z, epsilon: float) -> HessianSet:
 
 
 def hessian_sets_for(fn, zs, epsilon: float) -> list[HessianSet]:
-    """Full finite-difference Hessians at each of S points, from one call of ``fn``.
+    """Full finite-difference Hessians at each of S points, from stacked calls of ``fn``.
 
     Diagonal entries use the 1-D central second difference; mixed entries
     use the four-point centered product stencil
@@ -81,33 +80,37 @@ def hessian_sets_for(fn, zs, epsilon: float) -> list[HessianSet]:
 
     whose truncation error is O(eps^2), so cubic test functions are
     resolved exactly up to round-off. Each point needs P = 1 + 2n + 2n(n-1)
-    stencil rows; the stencils of all points are stacked into one (S*P, n)
-    batch, and a point's result does not depend on the others.
+    stencil rows; ``penalty.row_blocks`` stacks whole points into each call,
+    and a point's result does not depend on the others.
     """
     _check_epsilon(epsilon)
     zs = np.asarray(zs, dtype=np.float64)
     if zs.ndim != 2 or 0 in zs.shape:
         raise ContractViolation(f"expected a non-empty (S, n) array of points, got {zs.shape}")
-    s, n = zs.shape
+    if not np.all(np.isfinite(zs)):
+        raise ContractViolation("Hessian points must be finite")
+    n = zs.shape[1]
     step = epsilon * np.eye(n)
     rows, cols = np.triu_indices(n, 1)
     a, b = step[rows], step[cols]
     offsets = np.concatenate([np.zeros((1, n)),
                               np.stack([step, -step], axis=1).reshape(-1, n),
                               np.stack([a + b, a - b, b - a, -a - b], axis=1).reshape(-1, n)])
-
-    with ad.no_grad():
-        out, _ = evaluate_with_taps(fn, ad.Tensor((zs[:, None, :] + offsets).reshape(-1, n)))
-    f = out.values.reshape(s, offsets.shape[0], -1)  # (S, P, m)
-
     inv = 1.0 / (epsilon * epsilon)
-    diag = (f[:, 1:1 + 2 * n:2] - 2.0 * f[:, :1] + f[:, 2:2 + 2 * n:2]) * inv  # (S, n, m)
-    q = f[:, 1 + 2 * n:].reshape(s, rows.size, 4, f.shape[2])  # (S, pairs, 4, m)
-    mixed = (q[:, :, 0] - q[:, :, 1] - q[:, :, 2] + q[:, :, 3]) * (0.25 * inv)
-    h = np.zeros((s, f.shape[2], n, n))
-    h[:, :, np.arange(n), np.arange(n)] = diag.transpose(0, 2, 1)
-    h[:, :, rows, cols] = h[:, :, cols, rows] = mixed.transpose(0, 2, 1)
-    return [HessianSet(matrices=h[i], z=zs[i], epsilon=epsilon) for i in range(s)]
+
+    def run(lo, hi):
+        f, width = forward_values(fn, zs[lo:hi, None, :] + offsets)
+        f = f.reshape(hi - lo, offsets.shape[0], -1)  # (s, P, m)
+        diag = (f[:, 1:1 + 2 * n:2] - 2.0 * f[:, :1] + f[:, 2:2 + 2 * n:2]) * inv  # (s, n, m)
+        q = f[:, 1 + 2 * n:].reshape(hi - lo, rows.size, 4, f.shape[2])  # (s, pairs, 4, m)
+        mixed = (q[:, :, 0] - q[:, :, 1] - q[:, :, 2] + q[:, :, 3]) * (0.25 * inv)
+        h = np.zeros((hi - lo, f.shape[2], n, n))
+        h[:, :, np.arange(n), np.arange(n)] = diag.transpose(0, 2, 1)
+        h[:, :, rows, cols] = h[:, :, cols, rows] = mixed.transpose(0, 2, 1)
+        return h, width
+
+    return [HessianSet(matrices=mats, z=zs[lo + i], epsilon=epsilon)
+            for lo, h in row_blocks(len(zs), offsets.shape[0], run) for i, mats in enumerate(h)]
 
 
 def enumerate_variance(matrix) -> float:

@@ -18,13 +18,13 @@ G(z+ev) + G(z-ev). The estimator therefore evaluates no centre point: all
 Two things bound the cost of that call. A function with named taps (a
 ``Generator``) is told which taps the penalty reads and stops after the
 deepest of them, so a penalty on ``norm1,norm2`` runs neither the last
-hidden layer nor the output head. And a batch of more than ``_BLOCK``
-latent rows is evaluated in blocks of that many rows, each one stacked
-call of ``fn``: one huge forward costs more per row than mid-sized ones,
-and an off-record caller (``estimate``, ``verify``) then holds one block's
-activations at a time. Probes are still drawn for the whole batch at once,
-per-row results do not depend on the blocking, and a batch that fits in
-one block (every training step) builds the same record as one call.
+hidden layer nor the output head. And ``row_blocks``, the one rule that
+sizes every stacked forward of the toolkit, runs a batch of more than
+``_WHOLE_ROWS`` stacked rows (never a training step) in blocks whose
+widest array holds at most ``_BLOCK_VALUES`` float64 values, so an
+off-record caller (``estimate``, ``verify``) holds one block's activations
+at a time. Probes are still drawn for the whole batch at once, and
+per-row results do not depend on the blocking.
 
 The estimate is assembled from differentiable primitives end to end, so
 it can be used directly as a training loss. Conventions:
@@ -54,9 +54,10 @@ from . import autodiff as ad
 from .errors import ContractViolation
 
 REDUCTIONS = ("max", "mean")
-# latent rows per stencil evaluation: bounds the (2k * rows)-row forwards of large
-# batches; a training batch fits in one block
-_BLOCK = 4096
+# a stacked forward of at most _WHOLE_ROWS rows is one call; a larger one runs in blocks
+# whose widest array holds at most _BLOCK_VALUES float64 values (1 MiB)
+_WHOLE_ROWS = 1024
+_BLOCK_VALUES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -158,6 +159,34 @@ def evaluate_with_taps(fn, z: ad.Tensor, names: tuple[str, ...] | None = None
     return result, {}
 
 
+def row_blocks(n_units: int, unit_rows: int, run):
+    """Yield ``(lo, result)`` of ``result, width = run(lo, hi)`` over blocks of whole units.
+
+    ``run`` stacks units [lo, hi) of ``unit_rows`` rows into one call and returns
+    the values per row of its widest array. At most ``_WHOLE_ROWS`` rows are one
+    call; a larger batch runs one unit first, whose width sizes every later block
+    to the most units that keep that array within ``_BLOCK_VALUES``, at least one.
+    """
+    first = n_units if n_units * unit_rows <= _WHOLE_ROWS else 1
+    result, width = run(0, first)
+    yield 0, result
+    step = max(1, _BLOCK_VALUES // (width * unit_rows))
+    for lo in range(first, n_units, step):
+        yield lo, run(lo, min(lo + step, n_units))[0]
+
+
+def _widest(n: int, out: ad.Tensor | None, taps: dict[str, ad.Tensor]) -> int:
+    """Values per row of the widest of a call's ``n``-wide input, its output and its taps."""
+    return max([n] + [t.values[0].size for t in (out, *taps.values()) if t is not None])
+
+
+def forward_values(fn, units: np.ndarray) -> tuple[np.ndarray, int]:
+    """Output values of ``fn`` on the rows of ``units`` under no_grad, and its widest row."""
+    with ad.no_grad():
+        out, taps = evaluate_with_taps(fn, ad.Tensor(units.reshape(-1, units.shape[-1])))
+    return out.values, _widest(units.shape[-1], out, taps)
+
+
 def _prepare_latents(z) -> tuple[np.ndarray, bool]:
     arr = z.values if isinstance(z, ad.Tensor) else np.asarray(z, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
@@ -168,12 +197,12 @@ def _prepare_latents(z) -> tuple[np.ndarray, bool]:
 
 
 def _stencil_taps(fn, zarr: np.ndarray, probes: np.ndarray, epsilon: float,
-                  names: tuple[str, ...], centre: bool) -> dict[str, ad.Tensor]:
+                  names: tuple[str, ...], centre: bool) -> tuple[dict[str, ad.Tensor], int]:
     """Evaluate ``fn`` once on the stacked stencil around a batch of latents.
 
     The stencil rows are z + e*v and z - e*v for each of the k probes in
     ``probes`` (k, B, n), plus z itself when ``centre`` is set. Returns each
-    named tap reshaped to (2 or 3, k, B, ...), in that row order.
+    named tap reshaped to (2 or 3, k, B, ...), in that row order, and its widest row.
     """
     rows = 3 if centre else 2
     stencil = np.empty((rows,) + probes.shape)
@@ -192,7 +221,7 @@ def _stencil_taps(fn, zarr: np.ndarray, probes: np.ndarray, epsilon: float,
         else:
             raise ContractViolation(f"function exposes no tap named {name!r}")
         result[name] = ad.reshape(tensor, stencil.shape[:3] + tensor.shape[1:])
-    return result
+    return result, _widest(zarr.shape[-1], out, taps)
 
 
 def second_directional_fd(fn, z, v, epsilon: float, taps: tuple[str, ...] | None = None):
@@ -215,7 +244,7 @@ def second_directional_fd(fn, z, v, epsilon: float, taps: tuple[str, ...] | None
         raise ContractViolation(f"{varr.shape[0]} probe rows for {zarr.shape[0]} latent rows")
     names = ("output",) if taps is None else tuple(taps)
     probes = np.broadcast_to(varr, zarr.shape)[None]
-    stencil = _stencil_taps(fn, zarr, probes, epsilon, names, centre=True)
+    stencil, _ = _stencil_taps(fn, zarr, probes, epsilon, names, centre=True)
     weights = ad.Tensor(np.array([1.0, 1.0, -2.0]).reshape(3, 1, 1, 1))
     inv = 1.0 / (epsilon * epsilon)
 
@@ -228,21 +257,18 @@ def second_directional_fd(fn, z, v, epsilon: float, taps: tuple[str, ...] | None
     return {name: diff(rows) for name, rows in stencil.items()}
 
 
-def _row_mean(blocks: list[ad.Tensor], n_rows: int) -> ad.Tensor:
+def _row_mean(blocks: tuple[ad.Tensor, ...], n_rows: int) -> ad.Tensor:
     """Mean over all rows of per-row values that arrive in blocks."""
     if len(blocks) == 1:
         return blocks[0].mean()
-    total = blocks[0].sum()
-    for block in blocks[1:]:
-        total = total + block.sum()
-    return total * (1.0 / n_rows)
+    return sum((block.sum() for block in blocks[1:]), blocks[0].sum()) * (1.0 / n_rows)
 
 
 def hessian_penalty_estimate(fn, z, config: PenaltyConfig, rng=None, probes=None) -> PenaltyValue:
     """Unbiased stochastic estimate of the off-diagonal Hessian penalty.
 
-    Evaluates ``fn`` once per block of at most ``_BLOCK`` latent rows, on
-    the 2k perturbed copies z +- e*v_j of the block stacked into one batch;
+    Evaluates ``fn`` once per ``row_blocks`` block of latent rows, on the 2k
+    perturbed copies z +- e*v_j of the block stacked into one batch;
     no centre pass is needed because G(z) shifts every probe's second
     difference equally, and only the configured taps are computed. Takes the
     per-component Bessel-corrected variance over the k probes of
@@ -274,33 +300,31 @@ def hessian_penalty_estimate(fn, z, config: PenaltyConfig, rng=None, probes=None
     names = config.taps if config.taps else ("output",)
     # scale before the variance: 1/e^4 after it would overflow for small e
     inv = 1.0 / (eps * eps)
-    reduced: dict[str, list[ad.Tensor]] = {name: [] for name in names}
-    variances: dict[str, list[np.ndarray]] = {name: [] for name in names}
-    for start in range(0, n_rows, _BLOCK):
-        block = slice(start, start + _BLOCK)
-        stencil = _stencil_taps(fn, zarr[block], probes[:, block], eps, names, centre=False)
+
+    def run(lo, hi):
+        stencil, width = _stencil_taps(fn, zarr[lo:hi], probes[:, lo:hi], eps, names, centre=False)
+        block = {}
         for name in names:
             sums = stencil[name].sum(axis=0) * inv  # (k, b, m)
             # with no centre pass the sums keep the offset 2 G(z)/e^2; subtracting their
             # probe mean as a constant keeps its rounding out of the variance's gradient
             var = (sums - sums.values.mean(axis=0)).var(axis=0, ddof=1)  # (b, m)
-            variances[name].append(var.values)
-            reduced[name].append(var.max(axis=-1) if config.reduction == "max"
-                                 else var.mean(axis=-1))
+            block[name] = var.values, (var.max(axis=-1) if config.reduction == "max"
+                                       else var.mean(axis=-1))
+        return block, width
 
+    blocks = [block for _, block in row_blocks(n_rows, 2 * config.k, run)]
     per_component: dict[str, np.ndarray] = {}
     tap_scalars = []
     per_sample = np.zeros(n_rows)
     for name in names:
-        per_component[name] = np.concatenate(variances[name])
-        per_sample = per_sample + np.concatenate([r.values for r in reduced[name]])
-        tap_scalars.append(_row_mean(reduced[name], n_rows))
+        variances, reduced = zip(*(block[name] for block in blocks))
+        per_component[name] = np.concatenate(variances)
+        per_sample = per_sample + np.concatenate([r.values for r in reduced])
+        tap_scalars.append(_row_mean(reduced, n_rows))
 
     per_sample /= len(names)
-    loss = tap_scalars[0]
-    for extra in tap_scalars[1:]:
-        loss = loss + extra
-    loss = loss * (1.0 / len(names))
+    loss = sum(tap_scalars[1:], tap_scalars[0]) * (1.0 / len(names))
 
     return PenaltyValue(
         scalar=loss,

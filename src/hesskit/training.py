@@ -66,8 +66,8 @@ class Adam:
 
     def __init__(self, parameters, lr: float, beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8):
-        if lr <= 0.0:
-            raise ContractViolation(f"learning rate must be positive, got {lr}")
+        if not 0.0 < lr < np.inf:
+            raise ContractViolation(f"learning rate must be positive and finite, got {lr}")
         self.parameters = list(parameters)
         self.lr = float(lr)
         self.beta1 = float(beta1)

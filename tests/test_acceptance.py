@@ -170,6 +170,7 @@ def paired_runs():
     return runs, time.monotonic() - t0
 
 
+@pytest.mark.slow
 def test_c07_diagonality_beats_baseline(paired_runs):
     runs, train_seconds = paired_runs
     t0 = time.monotonic()
@@ -190,6 +191,7 @@ def test_c07_diagonality_beats_baseline(paired_runs):
             f"pairs ({'; '.join(details)}) in {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_c08_latent_shrinkage(paired_runs):
     runs, _ = paired_runs
     penalty_gap = 0

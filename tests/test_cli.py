@@ -303,6 +303,28 @@ def test_empty_or_negative_counts_exit_one(tmp_path, capsys, argv):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")  # a bad value fails before any numpy warning
+@pytest.mark.parametrize("argv", [
+    ["verify", "--dims", "x"],
+    ["verify", "--dims", "2,,3"],
+    ["estimate", "--fn", "separable-cubic", "--dim", "-1"],
+    ["eval", "--fn", "z1z2", "--ppl-samples", "16", "--alpha", "inf"],
+    ["directions", "--fn", "z1z2", "--steps", "1", "--lr", "nan"],
+    ["hessdump", "--fn", "z1z2", "--z", "nan,1"],
+], ids=lambda argv: " ".join(argv))
+def test_bad_values_are_typed_errors(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path / "x")]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_config_file_that_is_not_utf8_exits_one(tmp_path, capsys):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_bytes(b"seed = 1\n\xff\xfe = 2\n")
+    assert main(["estimate", "--fn", "z1z2", "--config", str(cfg_file),
+                 "--out", str(tmp_path / "x")]) == 1
+    assert "not UTF-8" in capsys.readouterr().err
+
+
 def test_threads_is_not_an_option(tmp_path, capsys):
     assert main(["eval", "--fn", "z1z2", "--threads", "2", "--out", str(tmp_path / "x")]) == 1
     cfg_file = tmp_path / "run.cfg"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hesskit import autodiff as ad
-from hesskit import metrics
+from hesskit import penalty
 from hesskit.errors import ContractViolation, DegeneracyError
 from hesskit.functions import QuadraticForm, get_function
 from hesskit.metrics import PPLConfig, activeness, activeness_profile, ppl, slerp
@@ -112,8 +112,9 @@ class TestPPL:
         assert result.samples == 500
 
     def test_config_validation(self):
-        with pytest.raises(ContractViolation):
-            PPLConfig(alpha=0.0)
+        for alpha in (0.0, np.nan, np.inf):
+            with pytest.raises(ContractViolation):
+                PPLConfig(alpha=alpha)
 
 
 class Recorded:
@@ -135,17 +136,31 @@ BLOCKED_FNS = {
 }
 
 
+def block_rows(monkeypatch, width):
+    """Split every batch into blocks of 12 rows after a one-unit first block: 6
+    path-length pairs, or 3 sweeps of 4, for a call whose widest array is ``width``."""
+    monkeypatch.setattr(penalty, "_WHOLE_ROWS", 0)
+    monkeypatch.setattr(penalty, "_BLOCK_VALUES", 12 * width)
+
+
 class TestRowBlocks:
-    """A small output budget splits each metric into many blocks, the last one
-    ragged; every value must equal the one-block value bit for bit."""
+    """A small budget splits each metric into many blocks, the last one ragged;
+    every value must equal the one-call value bit for bit."""
 
     @staticmethod
     def both(monkeypatch, width, run):
-        # 12 rows per block: 6 path-length pairs, or 3 sweeps of 4
-        monkeypatch.setattr(metrics, "_BLOCK_ELEMENTS", 12 * width)
-        blocked = run()
-        monkeypatch.setattr(metrics, "_BLOCK_ELEMENTS", 1 << 62)
-        return blocked, run()
+        whole = run()  # at most _WHOLE_ROWS rows: one call
+        block_rows(monkeypatch, width)
+        return run(), whole
+
+    def test_small_batches_are_one_call(self):
+        fn, dim, _ = BLOCKED_FNS["generator-768"]()
+        # 41 pairs, or 3 components x 5 base latents x sweeps of 4
+        for run, rows in ((lambda f: ppl(f, dim, PPLConfig(samples=41), seed=3), 82),
+                          (lambda f: activeness_profile(f, dim, n_base=5, n_sweep=4, seed=6), 60)):
+            recorded = Recorded(fn)
+            run(recorded)
+            assert recorded.rows == [rows]
 
     @pytest.mark.parametrize("name", sorted(BLOCKED_FNS))
     def test_ppl_matches_one_block(self, monkeypatch, name):
@@ -168,7 +183,7 @@ class TestRowBlocks:
     def test_calls_after_the_first_fit_the_budget(self, monkeypatch):
         fn, dim, width = BLOCKED_FNS["generator-768"]()
         budget = 12 * width
-        monkeypatch.setattr(metrics, "_BLOCK_ELEMENTS", budget)
+        block_rows(monkeypatch, width)
         for run in (lambda f: ppl(f, dim, PPLConfig(samples=41), seed=3),
                     lambda f: activeness_profile(f, dim, n_base=5, n_sweep=4, seed=6)):
             recorded = Recorded(fn)

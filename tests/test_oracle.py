@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hesskit import autodiff as ad
+from hesskit import penalty
 from hesskit.errors import ContractViolation
 from hesskit.functions import QuadraticForm, SeparablePolynomial, get_function
+from hesskit.nets import Generator
 from hesskit.oracle import (
     HessianSet,
     diagonality_metrics,
@@ -76,12 +78,60 @@ class TestExactHessianFD:
         with pytest.raises(ContractViolation, match="non-empty"):
             hessian_sets_for(get_function("z1z2"), np.zeros(shape), 1e-3)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_points_rejected(self, bad):
+        with pytest.raises(ContractViolation, match="finite"):
+            hessian_sets_for(get_function("z1z2"), np.array([[0.0, 1.0], [bad, 1.0]]), 1e-3)
+
     def test_one_dimensional_function(self):
         cube = SeparablePolynomial(np.array([2.0]))  # G(z) = 2 z^3, G'' = 12 z
         hs = hessian_sets_for(cube, np.array([[0.5], [-1.0]]), 1e-3)
         assert [h.matrices.shape for h in hs] == [(1, 1, 1), (1, 1, 1)]
         assert hs[0].matrices[0, 0, 0] == pytest.approx(6.0, abs=1e-6)
         assert hs[1].matrices[0, 0, 0] == pytest.approx(-12.0, abs=1e-6)
+
+
+class TestRowBlocks:
+    """A small budget splits the stacked stencils into calls of whole points."""
+
+    P = 1 + 2 * 3 + 2 * 3 * 2  # stencil rows per point at n = 3
+
+    def test_blocks_match_one_call(self, monkeypatch):
+        g = Generator(latent_dim=3, output_dim=5, hidden_width=6, hidden_layers=2, seed=1)
+        zs = np.random.default_rng(4).normal(size=(7, 3))
+        whole = hessian_sets_for(g, zs, 1e-3)
+        monkeypatch.setattr(penalty, "_WHOLE_ROWS", 0)
+        budget = 2 * self.P * 6  # two points at the hidden width 6, the call's widest array
+        monkeypatch.setattr(penalty, "_BLOCK_VALUES", budget)
+        calls = []
+
+        def counted(z):
+            calls.append(z.shape[0])
+            return g(z)
+
+        blocked = hessian_sets_for(counted, zs, 1e-3)
+        assert calls == [self.P, 2 * self.P, 2 * self.P, 2 * self.P]
+        assert all(rows % self.P == 0 for rows in calls)
+        assert max(calls[1:]) <= budget // 6
+        assert len(blocked) == len(whole) == 7
+        for b, w in zip(blocked, whole):
+            assert b.matrices.tobytes() == w.matrices.tobytes()
+            assert np.array_equal(b.z, w.z)
+
+    def test_small_batches_are_one_call(self):
+        calls = []
+        fn = get_function("rotated-separable")
+
+        def counted(z):
+            calls.append(z.shape[0])
+            return fn(z)
+
+        # 1 + 2n + 2n(n-1) = 33 rows per point at n = 4
+        hessian_sets_for(counted, np.zeros((31, 4)), 1e-3)
+        assert calls == [31 * 33]
+        calls.clear()
+        hessian_sets_for(counted, np.zeros((32, 4)), 1e-3)  # 1056 > _WHOLE_ROWS rows
+        assert calls == [33, 31 * 33]
 
 
 class TestEnumeration:

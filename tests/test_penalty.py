@@ -351,6 +351,15 @@ class TestFusedKernel:
             assert np.max(np.abs(pv.per_component[name] - var)) <= tol
 
 
+def block_latent_rows(monkeypatch, rows, k, width=6):
+    """Split every batch into blocks of ``rows`` latent rows after a one-row first block.
+
+    ``width`` is the widest array of a call: the hidden width 6 of ``setup_case``.
+    """
+    monkeypatch.setattr(penalty, "_WHOLE_ROWS", 0)
+    monkeypatch.setattr(penalty, "_BLOCK_VALUES", rows * 2 * k * width)
+
+
 class TestRowBlocks:
     def setup_case(self, rows=7, k=3):
         rng = np.random.default_rng(12)
@@ -363,27 +372,58 @@ class TestRowBlocks:
     def test_blocks_match_one_block_run(self, monkeypatch, reduction):
         g, z, probes = self.setup_case()
         config = PenaltyConfig(k=3, reduction=reduction, taps=("norm1", "output"))
-        whole = hessian_penalty_estimate(g, z, config, probes=probes)
-        monkeypatch.setattr(penalty, "_BLOCK", 3)
+        calls = []
+        whole = hessian_penalty_estimate(counting(g, calls), z, config, probes=probes)
+        assert calls == [(42, 3)]  # 42 stencil rows <= _WHOLE_ROWS: one call
+        block_latent_rows(monkeypatch, 3, k=3)
         calls = []
         blocked = hessian_penalty_estimate(counting(g, calls), z, config, probes=probes)
-        assert calls == [(18, 3), (18, 3), (6, 3)]  # 2k rows per latent row, blocks 3+3+1
+        assert calls == [(6, 3), (18, 3), (18, 3)]  # 2k rows per latent row, blocks 1+3+3
         assert np.array_equal(blocked.per_sample, whole.per_sample)
         for name in ("norm1", "output"):
             assert np.array_equal(blocked.per_component[name], whole.per_component[name])
         assert abs(blocked.value - whole.value) <= 1e-12 * abs(whole.value)
 
+    def test_row_blocks_sizes_later_blocks_by_the_first_width(self, monkeypatch):
+        monkeypatch.setattr(penalty, "_WHOLE_ROWS", 30)
+        monkeypatch.setattr(penalty, "_BLOCK_VALUES", 24)
+        spans = []
+
+        def run(lo, hi, width=2):
+            spans.append((lo, hi))
+            return lo, width
+
+        assert list(penalty.row_blocks(10, 3, run)) == [(0, 0)]  # 30 rows: one call
+        assert spans == [(0, 10)]
+        spans.clear()
+        assert [lo for lo, _ in penalty.row_blocks(11, 3, run)] == [0, 1, 5, 9]
+        assert spans == [(0, 1), (1, 5), (5, 9), (9, 11)]  # 24 // (2 * 3) = 4 units
+        spans.clear()
+        list(penalty.row_blocks(11, 3, lambda lo, hi: run(lo, hi, width=100)))
+        assert spans == [(0, 1)] + [(i, i + 1) for i in range(1, 11)]  # at least one unit
+
+    def test_wide_output_blocks_fit_the_budget(self):
+        g = Generator(latent_dim=3, seed=2)  # 768 outputs, the widest array of a call
+        z = np.random.default_rng(3).normal(size=(300, 3))
+        calls = []
+        with ad.no_grad():
+            hessian_penalty_estimate(counting(g, calls), z, PenaltyConfig(k=2))
+        first, *rest = [rows for rows, _ in calls]
+        assert first == 4  # one latent row: 2k stencil rows
+        assert len(rest) > 1 and max(rest) <= penalty._BLOCK_VALUES // 768
+        assert first + sum(rest) == 2 * 2 * 300
+
     def test_probes_are_drawn_for_the_whole_batch(self, monkeypatch):
         g, z, _ = self.setup_case()
         config = PenaltyConfig(k=3, taps=("norm2",))
         whole = hessian_penalty_estimate(g, z, config, rng=np.random.default_rng(5))
-        monkeypatch.setattr(penalty, "_BLOCK", 2)
+        block_latent_rows(monkeypatch, 2, k=3)
         blocked = hessian_penalty_estimate(g, z, config, rng=np.random.default_rng(5))
         assert np.array_equal(blocked.per_sample, whole.per_sample)
 
     def test_gradient_check_through_blocks(self, monkeypatch):
         g, z, probes = self.setup_case(rows=5, k=2)
-        monkeypatch.setattr(penalty, "_BLOCK", 2)
+        block_latent_rows(monkeypatch, 2, k=2)
         config = PenaltyConfig(k=2, reduction="mean", taps=("norm2", "output"))
 
         def loss_fn():
@@ -397,7 +437,7 @@ class TestRowBlocks:
 
     def test_gradient_check_catches_a_vjp_one_percent_off(self, monkeypatch):
         g, z, probes = self.setup_case(rows=5, k=2)
-        monkeypatch.setattr(penalty, "_BLOCK", 2)
+        block_latent_rows(monkeypatch, 2, k=2)
         config = PenaltyConfig(k=2, reduction="mean", taps=("norm2", "output"))
         real_tanh = ad.tanh
 

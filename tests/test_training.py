@@ -139,6 +139,11 @@ class TestAdam:
         assert np.array_equal(source, [[1.0, 2.0], [3.0, 4.0]])
         assert p.values[0, 0] == pytest.approx(-0.1)
 
+    @pytest.mark.parametrize("lr", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_a_learning_rate_that_is_not_positive_and_finite(self, lr):
+        with pytest.raises(ContractViolation, match="learning rate"):
+            Adam([ad.Parameter("p", np.zeros(2))], lr=lr)
+
 
 class TestTrainerDeterminism:
     def test_lambda_zero_matches_baseline_trajectory(self):
@@ -333,6 +338,7 @@ def test_signed_permutation_score_identity():
     assert perm == [0, 1, 2]
 
 
+@pytest.mark.slow
 def test_shrinkage_invariant_on_two_factor_data():
     # overparameterized latent space (6 components, 2 true factors): penalty
     # runs deactivate at least two components in >= 4 of 5 seeds; lambda = 0
