@@ -13,12 +13,14 @@ and the toolkit version to ``config.json`` in its output directory.
 Reruns with identical inputs produce byte-identical reports; per-step
 logs carry a ``wall_clock`` field, which is the only nondeterministic
 output. Exit codes: 0 on success, 1 on contract violations or usage
-errors, 2 on numeric errors.
+errors, 2 on numeric errors. A process builds the argument parser once,
+on its first ``main`` call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -148,6 +150,7 @@ _OPTIONS = {
 }
 
 
+@functools.cache  # parsing never changes the parser, so every main call shares one
 def _build_parser() -> _Parser:
     parser = _Parser(prog="hesskit", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"hesskit {__version__}")
@@ -507,12 +510,11 @@ def _cmd_hessdump(cfg: dict, out: str) -> int:
         zs = rng.normal(size=(_at_least(cfg, "samples", 1), dim))
     sets = hessian_sets_for(fn, zs, cfg["eps"])
     diag = diagonality_metrics(sets)
-    stacked = np.concatenate([s.matrices for s in sets], axis=0)
-    index = export_hessian_heatmaps(stacked, os.path.join(out, "heatmaps"), top=cfg.get("top"))
+    index = export_hessian_heatmaps(sets, os.path.join(out, "heatmaps"), top=cfg.get("top"))
     _write_json(os.path.join(out, "reports", "hessians.json"), {
         "points": zs,
         "epsilon": cfg["eps"],
-        "matrices": int(stacked.shape[0]),
+        "matrices": diag.count,
         "exported": len(index),
         "diagonality": diag.to_dict(),
         "index": index,

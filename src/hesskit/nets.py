@@ -15,7 +15,8 @@ parameter updates need exclusive access.
 
 Checkpoints are versioned ``.npz`` containers of named parameter arrays
 plus architecture metadata, with a human-readable JSON manifest
-(name, shape, sha256) written next to them.
+(name, shape, sha256) written next to them. Loading builds each parameter
+from its stored array: it draws no weights only to overwrite them.
 """
 
 from __future__ import annotations
@@ -34,9 +35,37 @@ from .functions import as_batch
 CHECKPOINT_VERSION = 1
 
 
-def _init_affine(rng, fan_in: int, fan_out: int, prefix: str) -> tuple[ad.Parameter, ad.Parameter]:
-    w = rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=(fan_in, fan_out))
-    return ad.Parameter(f"{prefix}.weight", w), ad.Parameter(f"{prefix}.bias", np.zeros(fan_out))
+def _affine_layers(n_in: int, width: int, depth: int, n_out: int, seed: int, stored=None):
+    """(weight, bias) of ``depth`` layers ``hidden.i``, then of the ``head``: weights drawn
+    from ``seed`` and zero biases, or, for a checkpoint, ``stored = (path, arrays)``."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed)) if stored is None else None
+    layers = []
+    for i in range(depth + 1):
+        fan_in = n_in if i == 0 else width
+        fan_out, prefix = (n_out, "head") if i == depth else (width, f"hidden.{i}")
+        if stored is None:
+            w = rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=(fan_in, fan_out))
+            b = np.zeros(fan_out)
+        else:
+            w = _stored_array(*stored, f"{prefix}.weight", (fan_in, fan_out))
+            b = _stored_array(*stored, f"{prefix}.bias", (fan_out,))
+        layers.append((ad.Parameter(f"{prefix}.weight", w), ad.Parameter(f"{prefix}.bias", b)))
+    return layers[:-1], layers[-1]
+
+
+def _stored_array(path: str, arrays, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """The checkpoint array ``name``, checked for presence, readability, shape and finiteness."""
+    if name not in arrays:
+        raise ContractViolation(f"{path}: missing parameter {name!r}")
+    try:
+        arr = np.asarray(arrays[name], dtype=np.float64)
+    except (TypeError, ValueError) as exc:  # object, text or record arrays
+        raise ContractViolation(f"{path}: unreadable parameter {name!r} ({exc})") from exc
+    if arr.shape != shape:
+        raise ContractViolation(f"{path}: parameter {name!r} has shape {arr.shape}, not {shape}")
+    if not np.isfinite(arr).all():
+        raise ContractViolation(f"{path}: parameter {name!r} has non-finite values")
+    return arr
 
 
 def tap_names(hidden_layers: int) -> tuple[str, ...]:
@@ -62,6 +91,7 @@ class Generator:
         hidden_width: int = 64,
         hidden_layers: int = 3,
         seed: int = 0,
+        *, _stored=None,
     ):
         if latent_dim < 1 or output_dim < 1 or hidden_width < 1 or hidden_layers < 0:
             raise ContractViolation("generator dimensions must be positive")
@@ -70,13 +100,8 @@ class Generator:
         self.hidden_width = int(hidden_width)
         self.hidden_layers = int(hidden_layers)
         self.seed = int(seed)
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-        self._hidden = []
-        width_in = self.latent_dim
-        for i in range(self.hidden_layers):
-            self._hidden.append(_init_affine(rng, width_in, self.hidden_width, f"hidden.{i}"))
-            width_in = self.hidden_width
-        self._head = _init_affine(rng, width_in, self.output_dim, "head")
+        self._hidden, self._head = _affine_layers(
+            self.latent_dim, self.hidden_width, self.hidden_layers, self.output_dim, seed, _stored)
 
     @property
     def input_dim(self) -> int:
@@ -92,11 +117,7 @@ class Generator:
         return default_taps(self.hidden_layers)
 
     def parameters(self) -> list[ad.Parameter]:
-        params = []
-        for w, b in self._hidden:
-            params.extend((w, b))
-        params.extend(self._head)
-        return params
+        return [p for layer in (*self._hidden, self._head) for p in layer]
 
     def _depth(self, taps) -> int:
         """Blocks a call must run to produce ``taps``; ``hidden_layers + 1`` includes the head."""
@@ -153,6 +174,7 @@ class Discriminator:
         hidden_width: int = 64,
         hidden_layers: int = 2,
         seed: int = 0,
+        *, _stored=None,
     ):
         if input_dim < 1 or hidden_width < 1 or hidden_layers < 0:
             raise ContractViolation("discriminator dimensions must be positive")
@@ -160,20 +182,11 @@ class Discriminator:
         self.hidden_width = int(hidden_width)
         self.hidden_layers = int(hidden_layers)
         self.seed = int(seed)
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-        self._hidden = []
-        width_in = self.input_dim
-        for i in range(self.hidden_layers):
-            self._hidden.append(_init_affine(rng, width_in, self.hidden_width, f"hidden.{i}"))
-            width_in = self.hidden_width
-        self._head = _init_affine(rng, width_in, 1, "head")
+        self._hidden, self._head = _affine_layers(
+            self.input_dim, self.hidden_width, self.hidden_layers, 1, seed, _stored)
 
     def parameters(self) -> list[ad.Parameter]:
-        params = []
-        for w, b in self._hidden:
-            params.extend((w, b))
-        params.extend(self._head)
-        return params
+        return [p for layer in (*self._hidden, self._head) for p in layer]
 
     def __call__(self, x) -> ad.Tensor:
         h, _ = as_batch(x, self.input_dim)
@@ -241,8 +254,8 @@ def load_checkpoint(path: str):
     """Rebuild a network from a checkpoint; parameter values load bit-exact.
 
     Anything that is not a checkpoint this version wrote, from a foreign
-    file to metadata without ``kind`` or with unknown ``arch`` keys, is a
-    ``ContractViolation``.
+    file to metadata without ``kind``, unknown ``arch`` keys or a missing,
+    unreadable, misshaped or non-finite array, is a ``ContractViolation``.
     """
     try:
         data = np.load(path)
@@ -270,14 +283,6 @@ def load_checkpoint(path: str):
         if not isinstance(arch, dict):
             raise ContractViolation(f"{path}: checkpoint metadata has no architecture")
         try:
-            net = kinds[meta["kind"]](**arch)
+            return kinds[meta["kind"]](**arch, _stored=(path, data))
         except TypeError as exc:
             raise ContractViolation(f"{path}: invalid architecture {arch!r} ({exc})") from exc
-        for p in net.parameters():
-            if p.name not in data:
-                raise ContractViolation(f"{path}: missing parameter {p.name!r}")
-            try:
-                p.assign(data[p.name])
-            except ValueError as exc:  # object or text arrays
-                raise ContractViolation(f"{path}: unreadable parameter {p.name!r} ({exc})") from exc
-    return net

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation
-from .penalty import _check_epsilon, exact_offdiag_penalty, forward_values, row_blocks
+from .penalty import _check_epsilon, forward_values, row_blocks
 
 ENUMERATION_LIMIT = 20
 _CHUNK = 1 << 16
@@ -210,14 +210,16 @@ def _check_stack(a: np.ndarray) -> np.ndarray:
 def export_hessian_heatmaps(hessians, path, top: int | None = None) -> list[dict]:
     """Write one CSV plus one grayscale pixmap per Hessian matrix.
 
-    Matrices are ranked by their exact off-diagonal penalty; ``top``
-    restricts export to the k largest. CSV values round-trip exactly
-    (shortest-repr decimals); pixmaps are min/max normalized per matrix,
-    with a constant matrix rendered as uniform mid-gray. Returns the
-    written index, which is also stored as ``index.json``.
+    Components are numbered across the stacks in order, and the stacks are
+    read in place, never concatenated. Matrices are ranked by their exact
+    off-diagonal penalty, one vectorised pass per stack; ``top`` restricts
+    export to the k largest. CSV values round-trip exactly (shortest-repr
+    decimals); pixmaps are min/max normalized per matrix, with a constant
+    matrix rendered as uniform mid-gray. Returns the written index (``index.json``).
     """
-    mats = np.concatenate(list(_iter_hessian_stacks(hessians)), axis=0)
-    penalties = np.array([exact_offdiag_penalty(m) for m in mats])
+    stacks = list(_iter_hessian_stacks(hessians))
+    penalties = np.concatenate([_offdiag_penalties(mats) for mats in stacks])
+    starts = np.cumsum([0] + [len(mats) for mats in stacks])
     order = np.argsort(-penalties, kind="stable")
     if top is not None:
         if top < 1:
@@ -228,11 +230,13 @@ def export_hessian_heatmaps(hessians, path, top: int | None = None) -> list[dict
     index = []
     for rank, comp in enumerate(order):
         comp = int(comp)
+        which = np.searchsorted(starts, comp, side="right") - 1
+        matrix = stacks[which][comp - starts[which]]
         stem = f"hessian_{comp:05d}"
         csv_path = os.path.join(path, stem + ".csv")
         pgm_path = os.path.join(path, stem + ".pgm")
-        _write_csv(csv_path, mats[comp])
-        _write_pgm(pgm_path, mats[comp])
+        _write_csv(csv_path, matrix)
+        _write_pgm(pgm_path, matrix)
         index.append(
             {
                 "rank": rank,
@@ -246,6 +250,12 @@ def export_hessian_heatmaps(hessians, path, top: int | None = None) -> list[dict
         json.dump(index, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return index
+
+
+def _offdiag_penalties(mats: np.ndarray) -> np.ndarray:
+    """``exact_offdiag_penalty`` per matrix, bit for bit: C-ordered row sums add in its order."""
+    flat, diag = mats.reshape(len(mats), mats.shape[1] ** 2), np.diagonal(mats, axis1=1, axis2=2)
+    return (flat * flat).sum(axis=1) - (diag * diag).sum(axis=1)
 
 
 def _write_csv(path: str, matrix: np.ndarray) -> None:

@@ -23,8 +23,8 @@ sizes every stacked forward of the toolkit, runs a batch of more than
 ``_WHOLE_ROWS`` stacked rows (never a training step) in blocks whose
 widest array holds at most ``_BLOCK_VALUES`` float64 values, so an
 off-record caller (``estimate``, ``verify``) holds one block's activations
-at a time. Probes are still drawn for the whole batch at once, and
-per-row results do not depend on the blocking.
+at a time. Probe bits are drawn for the whole batch at once and each block
+turns only its own into signs; per-row results do not depend on blocking.
 
 The estimate is assembled from differentiable primitives end to end, so
 it can be used directly as a training loss. Conventions:
@@ -285,7 +285,7 @@ def hessian_penalty_estimate(fn, z, config: PenaltyConfig, rng=None, probes=None
 
     if probes is None:
         rng = np.random.default_rng(config.seed) if rng is None else rng
-        probes = rng.integers(0, 2, size=(config.k, n_rows, dim)).astype(np.float64) * 2.0 - 1.0
+        bits = rng.integers(0, 2, size=(config.k, n_rows, dim))
     else:
         probes = np.asarray(probes, dtype=np.float64)
         if probes.ndim == 2 and probes.shape[1] == dim:
@@ -296,13 +296,15 @@ def hessian_penalty_estimate(fn, z, config: PenaltyConfig, rng=None, probes=None
             )
         if not np.all(np.abs(probes) == 1.0):
             raise ContractViolation("probes must contain only +1 or -1 entries")
+        bits = probes > 0
 
     names = config.taps if config.taps else ("output",)
     # scale before the variance: 1/e^4 after it would overflow for small e
     inv = 1.0 / (eps * eps)
 
     def run(lo, hi):
-        stencil, width = _stencil_taps(fn, zarr[lo:hi], probes[:, lo:hi], eps, names, centre=False)
+        signs = bits[:, lo:hi] * 2.0 - 1.0  # per block: whole-batch signs would double the draw
+        stencil, width = _stencil_taps(fn, zarr[lo:hi], signs, eps, names, centre=False)
         block = {}
         for name in names:
             sums = stencil[name].sum(axis=0) * inv  # (k, b, m)

@@ -206,6 +206,26 @@ def test_module_entry_point(tmp_path):
     assert "penalty estimate" in proc.stdout
 
 
+def test_parser_is_built_once_per_process():
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_shared_parser_is_unchanged_by_errors_and_version(tmp_path, capsys):
+    argv = ["estimate", "--fn", "rotated-separable", "--fn-seed", "3", "--z=0.5,-1,2",
+            "--dim", "3", "--seed", "4"]
+    assert main(["estimate", "--k"]) == 1  # usage error: --k needs a value
+    assert main(["estimate", "--no-such-flag", "1"]) == 1
+    assert main(["--version"]) == 0
+    assert main(argv + ["--out", str(tmp_path / "in")]) == 0
+    capsys.readouterr()
+    fresh = subprocess.run([sys.executable, "-m", "hesskit", *argv, "--out", str(tmp_path / "new")],
+                           capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC))
+    assert fresh.returncode == 0
+    report = os.path.join("reports", "estimate.json")
+    with open(tmp_path / "in" / report, "rb") as a, open(tmp_path / "new" / report, "rb") as b:
+        assert a.read() == b.read()
+
+
 def test_estimate_rejects_negative_repeat(tmp_path, capsys):
     assert main(["estimate", "--fn", "z1z2", "--repeat", "-5",
                  "--out", str(tmp_path / "x")]) == 1
@@ -236,7 +256,8 @@ def write_metadata_only(path, meta):
 
 
 @pytest.mark.parametrize("case", ["not-npz", "unknown-arch-key", "no-kind", "no-arch",
-                                  "text-parameter"])
+                                  "text-parameter", "wrong-shape", "missing-parameter",
+                                  "non-finite"])
 def test_bad_checkpoint_is_a_contract_violation(tmp_path, capsys, case):
     ckpt = str(tmp_path / "bad.npz")
     arch = {"latent_dim": 2, "output_dim": 4, "hidden_width": 3, "hidden_layers": 1, "seed": 0}
@@ -253,11 +274,18 @@ def test_bad_checkpoint_is_a_contract_violation(tmp_path, capsys, case):
     else:
         save_checkpoint(Generator(**arch), ckpt)
         arrays = dict(np.load(ckpt))
-        arrays["head.bias"] = np.array(["a", "b", "c", "d"])
+        del arrays["head.bias"]
+        if case != "missing-parameter":
+            arrays["head.bias"] = {"text-parameter": np.array(["a", "b", "c", "d"]),
+                                   "wrong-shape": np.zeros(5),
+                                   "non-finite": np.array([0.0, np.nan, 0.0, 0.0])}[case]
         np.savez(ckpt, **arrays)
     for command in ("eval", "estimate"):
         assert main([command, "--checkpoint", ckpt, "--out", str(tmp_path / command)]) == 1
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err
+        if case.endswith(("-parameter", "-shape", "-finite")):  # a stored-array fault
+            assert ckpt in err and "'head.bias'" in err
 
 
 @pytest.mark.parametrize("case", ["no-spec", "not-json", "spec-without-factors"])

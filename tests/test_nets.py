@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hesskit import autodiff as ad
+from hesskit import nets
 from hesskit.errors import ContractViolation
 from hesskit.nets import Discriminator, Generator, load_checkpoint, save_checkpoint
 from hesskit.penalty import PenaltyConfig, hessian_penalty_estimate
@@ -127,6 +128,24 @@ def test_discriminator_checkpoint_roundtrip(tmp_path):
     assert isinstance(loaded, Discriminator)
     x = np.random.default_rng(1).normal(size=(3, 6))
     assert np.array_equal(d(x).values, loaded(x).values)
+
+
+@pytest.mark.parametrize("net", [Generator(latent_dim=3, output_dim=5, hidden_width=4, seed=2),
+                                 Discriminator(input_dim=5, hidden_width=4, seed=3)],
+                         ids=lambda net: net.kind)
+def test_loading_draws_no_random_numbers(tmp_path, monkeypatch, net):
+    path = str(tmp_path / "net.npz")
+    save_checkpoint(net, path)
+
+    def no_rng(*args, **kwargs):
+        raise AssertionError("load_checkpoint drew random numbers")
+
+    monkeypatch.setattr(nets.np.random, "default_rng", no_rng)
+    loaded = load_checkpoint(path)
+    assert type(loaded) is type(net) and loaded.arch() == net.arch()
+    assert [p.name for p in loaded.parameters()] == [p.name for p in net.parameters()]
+    for a, b in zip(net.parameters(), loaded.parameters()):
+        assert a.values.tobytes() == b.values.tobytes()
 
 
 def counting_matmul(monkeypatch):

@@ -235,6 +235,19 @@ class TestHeatmapExport:
         pgm = (tmp_path / index[0]["pixmap"]).read_bytes()
         assert set(pgm[len(b"P5\n3 3\n255\n"):]) == {128}
 
+    def test_ranking_penalties_equal_exact_offdiag_penalty(self, tmp_path):
+        rng = np.random.default_rng(6)
+        for n in range(1, 17):
+            mats = rng.normal(size=(5, n, n))
+            stacks = [mats[:2], HessianSet(matrices=mats[2:], z=np.zeros(n), epsilon=1e-3)]
+            index = export_hessian_heatmaps(stacks, str(tmp_path / str(n)))
+            exact = [exact_offdiag_penalty(m) for m in mats]
+            assert [e["offdiag_penalty"] for e in index] == sorted(exact, reverse=True)
+            for entry in index:
+                assert entry["offdiag_penalty"] == exact[entry["component"]]
+                csv = np.loadtxt(tmp_path / str(n) / entry["csv"], delimiter=",", ndmin=2)
+                assert np.array_equal(csv, mats[entry["component"]])
+
     def test_top_selection_ranks_by_offdiag_penalty(self, tmp_path):
         quiet = np.eye(2)
         loud = np.array([[0.0, 2.0], [2.0, 0.0]])  # off-diagonal penalty 8 vs 0

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -420,6 +421,25 @@ class TestRowBlocks:
         block_latent_rows(monkeypatch, 2, k=3)
         blocked = hessian_penalty_estimate(g, z, config, rng=np.random.default_rng(5))
         assert np.array_equal(blocked.per_sample, whole.per_sample)
+        # each block turns its own slice of the drawn bits into the signs it would be given
+        signs = np.random.default_rng(5).integers(0, 2, size=(3, len(z), 3)) * 2.0 - 1.0
+        injected = hessian_penalty_estimate(g, z, config, probes=signs)
+        assert np.array_equal(injected.per_sample, blocked.per_sample)
+        assert np.array_equal(injected.per_component["norm2"], blocked.per_component["norm2"])
+        assert injected.value == blocked.value
+
+    def test_blocked_call_holds_no_float_copy_of_the_probes(self):
+        raw = np.random.default_rng(4).normal(size=(8, 8))
+        fn = QuadraticForm((raw + raw.T) / 2.0)
+        zeros = np.zeros((200_000, 8))  # a verify-sized call
+        tracemalloc.start()
+        try:
+            hessian_penalty_estimate(fn, zeros, PenaltyConfig(k=2), rng=np.random.default_rng(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bits = 2 * zeros.size * 8  # the k int64 sign bits per latent entry, drawn at once
+        assert peak < 1.5 * bits  # a whole float64 copy of the signs would reach 2 * bits
 
     def test_gradient_check_through_blocks(self, monkeypatch):
         g, z, probes = self.setup_case(rows=5, k=2)
