@@ -7,10 +7,10 @@ record in reverse topological order, accumulating in place (``+=``) into
 buffer. The binary vjps return None for a parent that needs no gradient (a
 constant, or a frozen parameter) instead of computing its product, so a
 frozen network costs only the products that reach the trainable side.
-Only the primitives the toolkit actually needs are provided: matrix
+Only the primitives the toolkit actually needs are provided: 2-D matrix
 multiply, bias add, elementwise arithmetic and scaling, tanh, the leaky
-rectifier, softplus, square, sum / mean / variance / max reductions,
-stacking, reshaping and feature normalization.
+rectifier with its fixed 0.2 slope, softplus, square, sum / mean /
+variance / max reductions, stacking, reshaping and feature normalization.
 
 Everything is float64; finite-difference losses divide second differences
 by epsilon**2 and need the headroom. Any primitive that produces a
@@ -254,24 +254,16 @@ def scale(a, c: float) -> Tensor:
 
 def matmul(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
-    if a.ndim not in (1, 2) or b.ndim not in (1, 2):
-        raise ContractViolation(f"matmul: expects 1-D or 2-D operands, got {a.shape} @ {b.shape}")
+    if a.ndim != 2 or b.ndim != 2:
+        raise ContractViolation(f"matmul: expects 2-D operands, got {a.shape} @ {b.shape}")
     try:
         out = np.matmul(a.values, b.values)
     except ValueError as exc:
         raise ContractViolation(f"matmul: shapes {a.shape} and {b.shape} do not conform") from exc
 
     def vjp(g):
-        av, bv = a.values, b.values
-        if av.ndim == 2 and bv.ndim == 2:
-            ga, gb = lambda: g @ bv.T, lambda: av.T @ g
-        elif av.ndim == 2:
-            ga, gb = lambda: np.outer(g, bv), lambda: av.T @ g
-        elif bv.ndim == 2:
-            ga, gb = lambda: bv @ g, lambda: np.outer(av, g)
-        else:  # 1-D dot product
-            ga, gb = lambda: g * bv, lambda: g * av
-        return ga() if a.requires_grad else None, gb() if b.requires_grad else None
+        return (g @ b.values.T if a.requires_grad else None,
+                a.values.T @ g if b.requires_grad else None)
 
     return _make("matmul", out, (a, b), vjp)
 
@@ -290,12 +282,13 @@ def tanh(a) -> Tensor:
     return _make("tanh", out, (a,), lambda g: (g * (1.0 - out * out),))
 
 
-def leaky_relu(a, slope: float = 0.2) -> Tensor:
+def leaky_relu(a) -> Tensor:
+    """Identity for non-negative entries, slope 0.2 below zero."""
     a = _coerce(a)
-    out = np.where(a.values >= 0.0, a.values, slope * a.values)
+    out = np.where(a.values >= 0.0, a.values, 0.2 * a.values)
 
     def vjp(g):
-        return (g * np.where(a.values >= 0.0, 1.0, slope),)
+        return (g * np.where(a.values >= 0.0, 1.0, 0.2),)
 
     return _make("leaky_relu", out, (a,), vjp)
 
@@ -398,10 +391,10 @@ def reshape(a, shape) -> Tensor:
     return _make("reshape", out, (a,), lambda g: (np.reshape(g, a.shape),))
 
 
-def feature_normalize(a, delta: float = 1e-8) -> Tensor:
+def feature_normalize(a) -> Tensor:
     """Divide each row by the root mean square of its entries.
 
-    Computes x / sqrt(mean_j(x_j**2) + delta) along the last axis.
+    Computes x / sqrt(mean_j(x_j**2) + 1e-8) along the last axis.
     """
     a = _coerce(a)
     if a.ndim < 1:
@@ -409,7 +402,7 @@ def feature_normalize(a, delta: float = 1e-8) -> Tensor:
     m = a.shape[-1]
 
     r = np.mean(a.values * a.values, axis=-1, keepdims=True)
-    s = np.sqrt(r + delta)
+    s = np.sqrt(r + 1e-8)
     out = a.values / s
 
     def vjp(g):

@@ -41,6 +41,7 @@ from .penalty import PenaltyConfig, exact_offdiag_penalty, hessian_penalty_estim
 from .training import TrainConfig, discover_directions, train
 
 OUTPUT_ROOT_ENV = "HESSKIT_OUTPUT_ROOT"
+_REL_TOL = 1e-10  # verify's gate: the enumeration identity holds to this relative error
 
 
 class _UsageError(Exception):
@@ -59,13 +60,19 @@ _COMMON = {
     "seed": (int, 0, "random seed"),
 }
 
+# the function that estimate, directions, eval and hessdump read (see _load_function)
+_FUNCTION = {
+    "checkpoint": (str, None, "generator checkpoint (.npz) instead of --fn"),
+    "fn": (str, None, f"built-in function: {', '.join(FUNCTION_NAMES)}"),
+    "dim": (int, None, "dimension override for built-ins that allow it"),
+    "fn-seed": (int, 0, "seed for seeded built-ins (rotated-separable)"),
+}
+_BETA = (float, 1.0, "scale for beta-cubic")
+
 _OPTIONS = {
     "estimate": {
-        "fn": (str, None, f"built-in function: {', '.join(FUNCTION_NAMES)}"),
-        "checkpoint": (str, None, "generator checkpoint (.npz) instead of --fn"),
-        "dim": (int, None, "dimension override for built-ins that allow it"),
-        "beta": (float, 1.0, "scale for beta-cubic"),
-        "fn-seed": (int, 0, "seed for seeded built-ins (rotated-separable)"),
+        **_FUNCTION,
+        "beta": _BETA,
         "z": (str, None, "comma-separated evaluation point (default: zeros)"),
         "eps": (float, 0.1, "finite-difference step"),
         "k": (int, 2, "probe count"),
@@ -76,7 +83,6 @@ _OPTIONS = {
     "verify": {
         "dims": (str, "2..12", "dimension range for the enumeration identity"),
         "trials": (int, 50, "random matrices for the enumeration identity"),
-        "rel-tol": (float, 1e-10, "relative tolerance for the identity"),
         "mc-matrices": (int, 5, "matrices for the unbiasedness Monte-Carlo"),
         "mc-dim": (int, 8, "dimension for the unbiasedness Monte-Carlo"),
         "mc-trials": (int, 200000, "trials per matrix"),
@@ -98,8 +104,6 @@ _OPTIONS = {
         "warmup": (int, 500, "linear warm-up horizon in steps"),
         "lr-g": (float, 1e-3, "generator learning rate"),
         "lr-d": (float, 1e-3, "discriminator learning rate"),
-        "beta1": (float, None, "first moment coefficient (default depends on mode)"),
-        "beta2": (float, None, "second moment coefficient (default depends on mode)"),
         "eps": (float, 0.1, "penalty finite-difference step"),
         "k": (int, 2, "penalty probe count"),
         "reduction": (str, "max", "penalty reduction"),
@@ -108,10 +112,7 @@ _OPTIONS = {
         "resume-disc": (str, None, "discriminator checkpoint to fine-tune from"),
     },
     "directions": {
-        "checkpoint": (str, None, "generator checkpoint (.npz)"),
-        "fn": (str, None, "built-in function instead of a checkpoint"),
-        "dim": (int, None, "dimension override for built-ins"),
-        "fn-seed": (int, 0, "seed for seeded built-ins"),
+        **_FUNCTION,
         "directions": (int, None, "number of directions (default: latent dim)"),
         "steps": (int, 2000, "optimization steps"),
         "lr": (float, 0.01, "learning rate"),
@@ -120,11 +121,8 @@ _OPTIONS = {
         "k": (int, 2, "penalty probe count"),
     },
     "eval": {
-        "checkpoint": (str, None, "generator checkpoint (.npz)"),
-        "fn": (str, None, "built-in function instead of a checkpoint"),
-        "dim": (int, None, "dimension override for built-ins"),
-        "beta": (float, 1.0, "scale for beta-cubic"),
-        "fn-seed": (int, 0, "seed for seeded built-ins"),
+        **_FUNCTION,
+        "beta": _BETA,
         "ppl-samples": (int, 10000, "path-length sample pairs"),
         "alpha": (float, 1e-4, "path-length interpolation step"),
         "act-base": (int, 64, "activeness base latents"),
@@ -133,11 +131,8 @@ _OPTIONS = {
         "hess-eps": (float, 1e-3, "exact-Hessian finite-difference step"),
     },
     "hessdump": {
-        "checkpoint": (str, None, "generator checkpoint (.npz)"),
-        "fn": (str, None, "built-in function instead of a checkpoint"),
-        "dim": (int, None, "dimension override for built-ins"),
-        "beta": (float, 1.0, "scale for beta-cubic"),
-        "fn-seed": (int, 0, "seed for seeded built-ins"),
+        **_FUNCTION,
+        "beta": _BETA,
         "z": (str, None, "comma-separated point; omit to sample from the prior"),
         "samples": (int, 1, "points sampled from the prior when --z is omitted"),
         "eps": (float, 1e-3, "finite-difference step"),
@@ -197,6 +192,9 @@ def _effective_config(command: str, args: argparse.Namespace) -> dict:
         value = getattr(args, name.replace("-", "_"))
         if value is not None:
             merged[name] = value
+    for name in ("seed", "fn-seed"):  # numpy's generators take no negative seed
+        if merged.get(name, 0) < 0:
+            raise ContractViolation(f"--{name} must be >= 0, got {merged[name]}")
     return merged
 
 
@@ -283,8 +281,6 @@ def _at_least(cfg: dict, name: str, minimum: int) -> int:
 
 def _resolve_taps(spec: str, auto: tuple[str, ...]) -> tuple[str, ...]:
     """Parse ``--taps``; ``auto`` is what "auto" stands for."""
-    if spec == "output":
-        return ()
     if spec == "auto":
         return auto
     taps = tuple(part.strip() for part in spec.split(",") if part.strip())
@@ -317,10 +313,10 @@ def _estimate_report(fn, z: np.ndarray, pconf: PenaltyConfig, repeat: int, seed:
     report = {
         "value": value.value,
         "offdiag_estimate": value.offdiag_estimate,
-        "k": value.k,
-        "epsilon": value.epsilon,
-        "reduction": value.reduction,
-        "taps": list(value.taps) if value.taps else ["output"],
+        "k": value.config.k,
+        "epsilon": value.config.epsilon,
+        "reduction": value.config.reduction,
+        "taps": list(value.config.taps),
         "per_tap_mean": {name: float(np.mean(arr)) for name, arr in value.per_component.items()},
         "z": z,
     }
@@ -369,7 +365,7 @@ def _cmd_verify(cfg: dict, out: str) -> int:
         worst_rel = max(worst_rel, rel)
         identity_trials.append({"n": n, "enumerated": enumerated, "target": target,
                                 "rel_error": rel})
-    identity_ok = worst_rel <= cfg["rel-tol"]
+    identity_ok = worst_rel <= _REL_TOL
 
     mc = []
     mc_ok = True
@@ -390,7 +386,7 @@ def _cmd_verify(cfg: dict, out: str) -> int:
 
     passed = identity_ok and mc_ok
     _write_json(os.path.join(out, "reports", "verify.json"), {
-        "identity": {"max_rel_error": worst_rel, "rel_tol": cfg["rel-tol"],
+        "identity": {"max_rel_error": worst_rel, "rel_tol": _REL_TOL,
                      "trials": identity_trials, "passed": identity_ok},
         "unbiasedness": {"matrices": mc, "passed": mc_ok},
         "passed": passed,
@@ -402,16 +398,15 @@ def _cmd_verify(cfg: dict, out: str) -> int:
 
 
 def _cmd_train(cfg: dict, out: str) -> int:
-    taps = _resolve_taps(cfg["taps"], default_taps(cfg["hidden-layers"]))
-    penalty = PenaltyConfig(epsilon=cfg["eps"], k=cfg["k"], reduction=cfg["reduction"], taps=taps)
+    penalty = PenaltyConfig(epsilon=cfg["eps"], k=cfg["k"], reduction=cfg["reduction"],
+                            taps=_resolve_taps(cfg["taps"], default_taps(cfg["hidden-layers"])))
     tconf = TrainConfig(
         mode=cfg["mode"], dataset=cfg["dataset"], latent_dim=cfg["latent-dim"],
         hidden_width=cfg["hidden-width"], hidden_layers=cfg["hidden-layers"],
         disc_width=cfg["disc-width"], disc_layers=cfg["disc-layers"],
         steps=cfg["steps"], batch_size=cfg["batch-size"], dataset_size=cfg["dataset-size"],
         penalty_weight=cfg["penalty-weight"], warmup_steps=cfg["warmup"],
-        lr_g=cfg["lr-g"], lr_d=cfg["lr-d"], beta1=cfg["beta1"], beta2=cfg["beta2"],
-        penalty=penalty, seed=cfg["seed"],
+        lr_g=cfg["lr-g"], lr_d=cfg["lr-d"], penalty=penalty, seed=cfg["seed"],
     )
     dataset = None
     if cfg["dataset"] not in SPEC_NAMES:
@@ -440,7 +435,7 @@ def _cmd_train(cfg: dict, out: str) -> int:
         "steps": tconf.steps,
         "penalty_weight": tconf.penalty_weight,
         "warmup_steps": tconf.warmup_steps,
-        "taps": list(taps) if taps else ["output"],
+        "taps": list(penalty.taps),
     }
     if result.log.records:
         summary["final"] = {k: v for k, v in result.log.records[-1].items() if k != "wall_clock"}
@@ -452,7 +447,7 @@ def _cmd_train(cfg: dict, out: str) -> int:
 def _cmd_directions(cfg: dict, out: str) -> int:
     fn, dim, _is_gen = _load_function(cfg)
     n_directions = dim if cfg["directions"] is None else cfg["directions"]
-    pconf = PenaltyConfig(epsilon=cfg["eps"], k=cfg["k"], reduction="mean", taps=())
+    pconf = PenaltyConfig(epsilon=cfg["eps"], k=cfg["k"], reduction="mean")
     matrix, log = discover_directions(
         fn, n_directions, cfg["steps"], seed=cfg["seed"], learning_rate=cfg["lr"],
         eta_range=cfg["eta-range"], config=pconf,

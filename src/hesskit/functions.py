@@ -111,6 +111,8 @@ class ScaledCubic(AnalyticFunction):
     def __init__(self, beta: float = 1.0, dim: int = 2):
         if dim < 1:
             raise ContractViolation("dim must be >= 1")
+        if not np.isfinite(beta):
+            raise ContractViolation(f"beta must be finite, got {beta}")
         self.beta = float(beta)
         self.input_dim = dim
         self.output_dim = 1

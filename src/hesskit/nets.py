@@ -166,7 +166,6 @@ class Discriminator:
     """Observation-to-logit MLP: (affine, leaky-rectifier) x L, affine head."""
 
     kind = "discriminator"
-    slope = 0.2
 
     def __init__(
         self,
@@ -191,7 +190,7 @@ class Discriminator:
     def __call__(self, x) -> ad.Tensor:
         h, _ = as_batch(x, self.input_dim)
         for w, b in self._hidden:
-            h = ad.leaky_relu(ad.matmul(h, w) + b, self.slope)
+            h = ad.leaky_relu(ad.matmul(h, w) + b)
         return ad.matmul(h, self._head[0]) + self._head[1]
 
     def arch(self) -> dict:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation
-from .penalty import _check_epsilon, forward_values, row_blocks
+from .penalty import _check_epsilon, exact_offdiag_penalty, forward_values, row_blocks
 
 ENUMERATION_LIMIT = 20
 _CHUNK = 1 << 16
@@ -48,13 +48,16 @@ class DiagonalityReport:
     entry lies on the diagonal (ties count as diagonal); ``d_ratio`` is
     the mean absolute diagonal entry over the mean absolute off-diagonal
     entry, pooled across all matrices. When every off-diagonal entry is
-    zero the ratio is reported as +inf with ``offdiag_all_zero`` set.
+    zero the ratio is reported as +inf, and ``offdiag_all_zero`` says so.
     """
 
     d_percent: float
     d_ratio: float
     count: int
-    offdiag_all_zero: bool = False
+
+    @property
+    def offdiag_all_zero(self) -> bool:
+        return math.isinf(self.d_ratio)
 
     def to_dict(self) -> dict:
         return {
@@ -149,9 +152,7 @@ def enumerate_variance(matrix) -> float:
 
 def diagonality_metrics(hessians) -> DiagonalityReport:
     """Pool Hessian collections into the two diagonality statistics."""
-    stacks = list(_iter_hessian_stacks(hessians))
-    if not stacks:
-        raise ContractViolation("diagonality_metrics: empty collection")
+    stacks = _hessian_stacks(hessians)
 
     diag_count = 0
     total = 0
@@ -176,35 +177,24 @@ def diagonality_metrics(hessians) -> DiagonalityReport:
 
     mean_diag = diag_sum / diag_n if diag_n else 0.0
     mean_off = off_sum / off_n if off_n else 0.0
-    if mean_off == 0.0:
-        return DiagonalityReport(
-            d_percent=diag_count / total, d_ratio=math.inf, count=total, offdiag_all_zero=True
-        )
-    return DiagonalityReport(
-        d_percent=diag_count / total, d_ratio=mean_diag / mean_off, count=total
-    )
+    return DiagonalityReport(d_percent=diag_count / total, count=total,
+                             d_ratio=mean_diag / mean_off if mean_off else math.inf)
 
 
-def _iter_hessian_stacks(hessians):
-    if isinstance(hessians, HessianSet):
-        yield _check_stack(hessians.matrices)
-        return
-    if isinstance(hessians, np.ndarray):
-        yield _check_stack(hessians if hessians.ndim == 3 else hessians[None])
-        return
-    for item in hessians:
-        if isinstance(item, HessianSet):
-            yield _check_stack(item.matrices)
-        else:
-            a = np.asarray(item, dtype=np.float64)
-            yield _check_stack(a if a.ndim == 3 else a[None])
-
-
-def _check_stack(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 3 or a.shape[1] != a.shape[2]:
-        raise ContractViolation(f"expected (m, n, n) Hessian stacks, got shape {a.shape}")
-    return a
+def _hessian_stacks(hessians) -> list[np.ndarray]:
+    """The (m, n, n) stacks of a HessianSet, an array or a non-empty iterable
+    of either; an array that is not a stack counts as one matrix."""
+    items = [hessians] if isinstance(hessians, (HessianSet, np.ndarray)) else hessians
+    stacks = []
+    for item in items:
+        a = np.asarray(item.matrices if isinstance(item, HessianSet) else item, dtype=np.float64)
+        a = a if a.ndim == 3 else a[None]
+        if a.ndim != 3 or a.shape[1] != a.shape[2]:
+            raise ContractViolation(f"expected (m, n, n) Hessian stacks, got shape {a.shape}")
+        stacks.append(a)
+    if not stacks:
+        raise ContractViolation("empty Hessian collection")
+    return stacks
 
 
 def export_hessian_heatmaps(hessians, path, top: int | None = None) -> list[dict]:
@@ -217,8 +207,8 @@ def export_hessian_heatmaps(hessians, path, top: int | None = None) -> list[dict
     decimals); pixmaps are min/max normalized per matrix, with a constant
     matrix rendered as uniform mid-gray. Returns the written index (``index.json``).
     """
-    stacks = list(_iter_hessian_stacks(hessians))
-    penalties = np.concatenate([_offdiag_penalties(mats) for mats in stacks])
+    stacks = _hessian_stacks(hessians)
+    penalties = np.concatenate([exact_offdiag_penalty(mats) for mats in stacks])
     starts = np.cumsum([0] + [len(mats) for mats in stacks])
     order = np.argsort(-penalties, kind="stable")
     if top is not None:
@@ -250,12 +240,6 @@ def export_hessian_heatmaps(hessians, path, top: int | None = None) -> list[dict
         json.dump(index, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return index
-
-
-def _offdiag_penalties(mats: np.ndarray) -> np.ndarray:
-    """``exact_offdiag_penalty`` per matrix, bit for bit: C-ordered row sums add in its order."""
-    flat, diag = mats.reshape(len(mats), mats.shape[1] ** 2), np.diagonal(mats, axis1=1, axis2=2)
-    return (flat * flat).sum(axis=1) - (diag * diag).sum(axis=1)
 
 
 def _write_csv(path: str, matrix: np.ndarray) -> None:

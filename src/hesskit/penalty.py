@@ -46,7 +46,7 @@ Estimation is pure given (function, z, probes).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,10 +64,10 @@ _BLOCK_VALUES = 1 << 17
 class PenaltyConfig:
     """Estimator settings: step, probe count, reduction, taps and seed.
 
-    ``taps`` names the activations the penalty is applied to; empty means
-    the function's output itself, and the reserved name "output" may be
-    mixed with named taps. ``k >= 2`` because the sample variance is
-    undefined below that.
+    ``taps`` names the activations the penalty is applied to; the reserved
+    name "output" is the function's output itself and may be mixed with
+    named taps. An empty selection is stored as ``("output",)``. ``k >= 2``
+    because the sample variance is undefined below that.
     """
 
     epsilon: float = 0.1
@@ -82,7 +82,7 @@ class PenaltyConfig:
             raise ContractViolation(f"probe count k must be an integer >= 2, got {self.k}")
         if self.reduction not in REDUCTIONS:
             raise ContractViolation(f"reduction must be one of {REDUCTIONS}, got {self.reduction!r}")
-        object.__setattr__(self, "taps", tuple(self.taps))
+        object.__setattr__(self, "taps", tuple(self.taps) or ("output",))
 
 
 @dataclass
@@ -92,16 +92,13 @@ class PenaltyValue:
     ``per_component`` maps tap name (or "output") to the (B, m) probe
     variances before reduction; ``per_sample`` holds the per-row reduced
     values averaged over taps, so a batched call doubles as a set of
-    independent trials.
+    independent trials. ``config`` is the configuration it was computed with.
     """
 
     scalar: ad.Tensor
     per_component: dict[str, np.ndarray]
     per_sample: np.ndarray
-    k: int
-    epsilon: float
-    reduction: str = "max"
-    taps: tuple[str, ...] = field(default_factory=tuple)
+    config: PenaltyConfig
 
     @property
     def value(self) -> float:
@@ -136,12 +133,16 @@ def sample_rademacher(dim: int, k: int, seed: int = 0, rng=None) -> np.ndarray:
     return rng.integers(0, 2, size=(int(k), int(dim))).astype(np.float64) * 2.0 - 1.0
 
 
-def exact_offdiag_penalty(matrix) -> float:
-    """Sum of squared off-diagonal entries of a square matrix."""
+def exact_offdiag_penalty(matrix):
+    """Sum of squared off-diagonal entries of a square matrix, or an array of
+    them for an (m, n, n) stack. C-ordered row sums add in the same order for
+    both, so a stack's values equal the per-matrix ones bit for bit."""
     h = np.asarray(matrix, dtype=np.float64)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ContractViolation(f"expected a square matrix, got shape {h.shape}")
-    return float(np.sum(h * h) - np.sum(np.diag(h) ** 2))
+    if h.ndim not in (2, 3) or h.shape[-1] != h.shape[-2]:
+        raise ContractViolation(f"expected a square matrix or a stack of them, got shape {h.shape}")
+    flat, diag = h.reshape(h.shape[:-2] + (-1,)), np.diagonal(h, axis1=-2, axis2=-1)
+    sums = (flat * flat).sum(axis=-1) - (diag * diag).sum(axis=-1)
+    return float(sums) if h.ndim == 2 else sums
 
 
 def evaluate_with_taps(fn, z: ad.Tensor, names: tuple[str, ...] | None = None
@@ -298,15 +299,14 @@ def hessian_penalty_estimate(fn, z, config: PenaltyConfig, rng=None, probes=None
             raise ContractViolation("probes must contain only +1 or -1 entries")
         bits = probes > 0
 
-    names = config.taps if config.taps else ("output",)
     # scale before the variance: 1/e^4 after it would overflow for small e
     inv = 1.0 / (eps * eps)
 
     def run(lo, hi):
         signs = bits[:, lo:hi] * 2.0 - 1.0  # per block: whole-batch signs would double the draw
-        stencil, width = _stencil_taps(fn, zarr[lo:hi], signs, eps, names, centre=False)
+        stencil, width = _stencil_taps(fn, zarr[lo:hi], signs, eps, config.taps, centre=False)
         block = {}
-        for name in names:
+        for name in config.taps:
             sums = stencil[name].sum(axis=0) * inv  # (k, b, m)
             # with no centre pass the sums keep the offset 2 G(z)/e^2; subtracting their
             # probe mean as a constant keeps its rounding out of the variance's gradient
@@ -319,21 +319,14 @@ def hessian_penalty_estimate(fn, z, config: PenaltyConfig, rng=None, probes=None
     per_component: dict[str, np.ndarray] = {}
     tap_scalars = []
     per_sample = np.zeros(n_rows)
-    for name in names:
+    for name in config.taps:
         variances, reduced = zip(*(block[name] for block in blocks))
         per_component[name] = np.concatenate(variances)
         per_sample = per_sample + np.concatenate([r.values for r in reduced])
         tap_scalars.append(_row_mean(reduced, n_rows))
 
-    per_sample /= len(names)
-    loss = sum(tap_scalars[1:], tap_scalars[0]) * (1.0 / len(names))
+    per_sample /= len(config.taps)
+    loss = sum(tap_scalars[1:], tap_scalars[0]) * (1.0 / len(config.taps))
 
-    return PenaltyValue(
-        scalar=loss,
-        per_component=per_component,
-        per_sample=per_sample,
-        k=config.k,
-        epsilon=eps,
-        reduction=config.reduction,
-        taps=config.taps,
-    )
+    return PenaltyValue(scalar=loss, per_component=per_component, per_sample=per_sample,
+                        config=config)

@@ -126,32 +126,26 @@ class TrainConfig:
     warmup_steps: int = 500
     lr_g: float = 1e-3
     lr_d: float = 1e-3
-    beta1: float | None = None
-    beta2: float | None = None
     penalty: PenaltyConfig | None = None
     seed: int = 0
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ContractViolation(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.penalty_weight < 0.0:
-            raise ContractViolation(f"penalty weight must be >= 0, got {self.penalty_weight}")
+        if not 0.0 <= self.penalty_weight < np.inf:
+            raise ContractViolation(
+                f"penalty weight must be non-negative and finite, got {self.penalty_weight}")
         if self.warmup_steps < 1:
             raise ContractViolation(f"warm-up horizon must be >= 1, got {self.warmup_steps}")
         if self.steps < 0 or self.batch_size < 1 or self.dataset_size < 1:
             raise ContractViolation("steps must be >= 0; batch and dataset sizes >= 1")
-        if (self.beta1 is None) != (self.beta2 is None):
-            raise ContractViolation("set beta1 and beta2 together or rely on mode defaults")
         if self.mode == "baseline":
             object.__setattr__(self, "penalty_weight", 0.0)
 
     @property
     def momentum(self) -> tuple[float, float]:
-        if self.beta1 is not None and self.beta2 is not None:
-            return self.beta1, self.beta2
-        if self.mode == "reconstruction":
-            return 0.9, 0.999
-        return 0.0, 0.99
+        """Adam's (beta1, beta2): no first moment for the adversarial modes."""
+        return (0.9, 0.999) if self.mode == "reconstruction" else (0.0, 0.99)
 
 
 class TrainLog:
@@ -406,7 +400,7 @@ def discover_directions(
         raise ContractViolation(f"steps must be >= 0, got {steps}")
     if not 0.0 <= eta_range < np.inf:
         raise ContractViolation(f"eta_range must be non-negative and finite, got {eta_range}")
-    pcfg = config or PenaltyConfig(epsilon=0.1, k=2, reduction="mean", taps=())
+    pcfg = config or PenaltyConfig(epsilon=0.1, k=2, reduction="mean")
 
     seeds = np.random.SeedSequence(seed).generate_state(3)
     rng_init = np.random.default_rng(int(seeds[0]))

@@ -339,10 +339,27 @@ def test_empty_or_negative_counts_exit_one(tmp_path, capsys, argv):
     ["eval", "--fn", "z1z2", "--ppl-samples", "16", "--alpha", "inf"],
     ["directions", "--fn", "z1z2", "--steps", "1", "--lr", "nan"],
     ["hessdump", "--fn", "z1z2", "--z", "nan,1"],
+    # numpy's generators take no negative seed
+    ["estimate", "--fn", "z1z2", "--seed", "-1"],
+    ["eval", "--fn", "rotated-separable", "--fn-seed", "-1"],
+    ["data", "--seed", "-1"],
+    # a non-finite loss weight or function scale
+    ["train", "--steps", "1", "--penalty-weight", "nan"],
+    ["train", "--steps", "1", "--penalty-weight", "inf"],
+    ["estimate", "--fn", "beta-cubic", "--beta", "nan"],
+    ["hessdump", "--fn", "beta-cubic", "--beta", "inf"],
 ], ids=lambda argv: " ".join(argv))
 def test_bad_values_are_typed_errors(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path / "x")]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_negative_seed_in_config_file_exits_one(tmp_path, capsys):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("seed = -1\n")
+    assert main(["train", "--steps", "1", "--config", str(cfg_file),
+                 "--out", str(tmp_path / "x")]) == 1
+    assert "--seed must be >= 0" in capsys.readouterr().err
 
 
 def test_config_file_that_is_not_utf8_exits_one(tmp_path, capsys):
@@ -360,4 +377,14 @@ def test_threads_is_not_an_option(tmp_path, capsys):
     assert main(["hessdump", "--fn", "z1z2", "--config", str(cfg_file),
                  "--out", str(tmp_path / "y")]) == 1
     assert "unknown config key 'threads'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, key", [("train", "beta1"), ("train", "beta2"),
+                                          ("verify", "rel-tol")])
+def test_removed_knobs_are_not_options(tmp_path, capsys, command, key):
+    assert main([command, f"--{key}", "0.5", "--out", str(tmp_path / "x")]) == 1
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"{key} = 0.5\n")
+    assert main([command, "--config", str(cfg_file), "--out", str(tmp_path / "y")]) == 1
+    assert f"unknown config key {key!r}" in capsys.readouterr().err
 

@@ -195,6 +195,7 @@ class TestDiagonality:
         report = diagonality_metrics(m[None])
         assert report.d_percent == 1.0
         assert report.d_ratio == pytest.approx(2.0)
+        assert not report.offdiag_all_zero
 
     def test_offdiagonal_max(self):
         report = diagonality_metrics(np.array([[[0.0, 3.0], [3.0, 0.0]]]))
@@ -211,9 +212,11 @@ class TestDiagonality:
         assert report.count == 3
         assert report.d_percent == pytest.approx(2.0 / 3.0)
 
-    def test_empty_collection_rejected(self):
+    def test_empty_collection_rejected(self, tmp_path):
         with pytest.raises(ContractViolation):
             diagonality_metrics([])
+        with pytest.raises(ContractViolation, match="empty"):
+            export_hessian_heatmaps([], str(tmp_path))
 
 
 class TestHeatmapExport:

@@ -94,6 +94,10 @@ class TestConfig:
     def test_accepts_smallest_scalable_epsilon(self):
         assert PenaltyConfig(epsilon=1e-154).epsilon == 1e-154
 
+    def test_empty_taps_mean_the_output(self):
+        assert PenaltyConfig().taps == ("output",)
+        assert PenaltyConfig(taps=[]).taps == ("output",)
+
 
 class TestRademacher:
     def test_entries_are_signs(self):
@@ -186,6 +190,14 @@ class TestExactOffdiag:
     def test_rejects_nonsquare(self):
         with pytest.raises(ContractViolation):
             exact_offdiag_penalty(np.ones((2, 3)))
+        with pytest.raises(ContractViolation):
+            exact_offdiag_penalty(np.ones((1, 2, 2, 2)))
+
+    def test_stack_equals_each_matrix_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        for n in range(1, 17):
+            mats = rng.normal(size=(5, n, n))
+            assert exact_offdiag_penalty(mats).tolist() == [exact_offdiag_penalty(m) for m in mats]
 
 
 class TestEstimator:

@@ -58,6 +58,11 @@ class TestConfig:
         with pytest.raises(ContractViolation):
             TrainConfig(penalty_weight=-0.1)
 
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+    def test_rejects_nonfinite_weight(self, weight):
+        with pytest.raises(ContractViolation, match="finite"):
+            TrainConfig(penalty_weight=weight)
+
     def test_rejects_zero_warmup(self):
         with pytest.raises(ContractViolation):
             TrainConfig(warmup_steps=0)
