@@ -219,19 +219,25 @@ def _jsonable(obj):
     return obj
 
 
-def _write_json(path: str, payload) -> None:
+def _overwrite(path: str, text: str) -> None:
+    """Write ``text`` over the file's old bytes, then cut it to length.
+
+    A rewrite that opens with truncation makes ext4 flush the file on close
+    (``auto_da_alloc``), which stalls a process that rewrites its reports
+    many times a second; writing in place leaves writeback to the kernel.
+    """
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_jsonable(payload), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(text.encode("utf-8"))
+        fh.truncate()
+
+
+def _write_json(path: str, payload) -> None:
+    _overwrite(path, json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n")
 
 
 def _write_jsonl(path: str, records) -> None:
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(_jsonable(record), sort_keys=True))
-            fh.write("\n")
+    _overwrite(path, "".join(json.dumps(_jsonable(r), sort_keys=True) + "\n" for r in records))
 
 
 def _write_config(out: str, command: str, cfg: dict) -> None:
@@ -376,7 +382,8 @@ def _cmd_verify(cfg: dict, out: str) -> int:
         target = enumerate_variance(h)
         fn = QuadraticForm(h)
         zeros = np.zeros((cfg["mc-trials"], cfg["mc-dim"]))
-        trials = hessian_penalty_estimate(fn, zeros, pconf, rng=rng).per_sample
+        with no_grad():  # values only, as in estimate
+            trials = hessian_penalty_estimate(fn, zeros, pconf, rng=rng).per_sample
         se = float(trials.std(ddof=1) / np.sqrt(trials.size))
         zscore = abs(float(trials.mean()) - target) / se
         ok = zscore <= 3.0

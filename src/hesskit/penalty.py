@@ -24,7 +24,12 @@ sizes every stacked forward of the toolkit, runs a batch of more than
 widest array holds at most ``_BLOCK_VALUES`` float64 values, so an
 off-record caller (``estimate``, ``verify``) holds one block's activations
 at a time. Probe bits are drawn for the whole batch at once and each block
-turns only its own into signs; per-row results do not depend on blocking.
+turns only its own into signs. A row's results do not depend on blocking
+where BLAS rounds a row the same for any row count (not so for some narrow
+products, nor for a one-row call), and agree within 1e-12 relative otherwise.
+Off the record, a block that repeats one point and draws more probes than the
+2^n sign vectors evaluates each distinct probe once (a recorded call keeps one
+path to the parameters per draw); the draws themselves are unchanged.
 
 The estimate is assembled from differentiable primitives end to end, so
 it can be used directly as a training loss. Conventions:
@@ -303,11 +308,22 @@ def hessian_penalty_estimate(fn, z, config: PenaltyConfig, rng=None, probes=None
     inv = 1.0 / (eps * eps)
 
     def run(lo, hi):
-        signs = bits[:, lo:hi] * 2.0 - 1.0  # per block: whole-batch signs would double the draw
-        stencil, width = _stencil_taps(fn, zarr[lo:hi], signs, eps, config.taps, centre=False)
+        zb, index = zarr[lo:hi], None
+        if not ad.grad_enabled() and 2 ** dim < config.k * (hi - lo) and (zb == zb[0]).all():
+            # one point, more draws than sign vectors: evaluate each distinct probe once
+            codes = bits[:, lo:hi] @ (1 << np.arange(dim))  # (k, b)
+            present = np.zeros(2 ** dim, dtype=bool)
+            present[codes] = True
+            distinct = np.flatnonzero(present)
+            index = (np.cumsum(present) - 1)[codes]  # each draw's row among the distinct
+            zb, signs = zb[:1], ((distinct[:, None, None] >> np.arange(dim)) & 1) * 2.0 - 1.0
+        else:  # per block: whole-batch signs would double the draw
+            signs = bits[:, lo:hi] * 2.0 - 1.0
+        stencil, width = _stencil_taps(fn, zb, signs, eps, config.taps, centre=False)
         block = {}
         for name in config.taps:
-            sums = stencil[name].sum(axis=0) * inv  # (k, b, m)
+            sums = stencil[name].sum(axis=0) * inv  # (k, b, m), or (u, 1, m) per distinct probe
+            sums = sums if index is None else ad.Tensor(sums.values[index, 0])  # (k, b, m)
             # with no centre pass the sums keep the offset 2 G(z)/e^2; subtracting their
             # probe mean as a constant keeps its rounding out of the variance's gradient
             var = (sums - sums.values.mean(axis=0)).var(axis=0, ddof=1)  # (b, m)

@@ -32,6 +32,19 @@ def test_estimate_builtin_writes_report(tmp_path, capsys):
     assert "penalty estimate" in capsys.readouterr().out
 
 
+def test_rerun_with_a_shorter_report_leaves_no_old_bytes(tmp_path):
+    # reports are overwritten in place and then cut to length
+    reused, fresh = str(tmp_path / "reused"), str(tmp_path / "fresh")
+    args = ["estimate", "--fn", "z1z2", "--seed", "7"]
+    assert main(args + ["--repeat", "5", "--out", reused]) == 0
+    assert main(args + ["--out", reused]) == 0
+    assert main(args + ["--out", fresh]) == 0
+    for name in ("config.json", os.path.join("reports", "estimate.json")):
+        with open(os.path.join(reused, name), "rb") as got, \
+                open(os.path.join(fresh, name), "rb") as want:
+            assert got.read() == want.read()
+
+
 def test_estimate_repeat_matches_enumerated_value(tmp_path):
     out = str(tmp_path / "est")
     assert main(["estimate", "--fn", "z1z2", "--seed", "7", "--k", "2",
@@ -248,6 +261,23 @@ def test_estimate_leaves_no_record(tmp_path, monkeypatch):
     assert len(values) == 2
     for value in values:
         assert not value.scalar.requires_grad
+        assert ad.record(value.scalar) == [value.scalar]
+
+
+def test_verify_leaves_no_record(tmp_path, monkeypatch):
+    recording, values = [], []
+    original = cli.hessian_penalty_estimate
+
+    def kept(*args, **kwargs):
+        recording.append(ad.grad_enabled())
+        values.append(original(*args, **kwargs))
+        return values[-1]
+
+    monkeypatch.setattr(cli, "hessian_penalty_estimate", kept)
+    assert main(["verify", "--dims", "2..3", "--trials", "2", "--mc-matrices", "2",
+                 "--mc-dim", "3", "--mc-trials", "2000", "--out", str(tmp_path / "v")]) == 0
+    assert recording == [False, False]
+    for value in values:
         assert ad.record(value.scalar) == [value.scalar]
 
 

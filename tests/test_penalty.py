@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import tracemalloc
 
@@ -415,6 +416,27 @@ class TestRowBlocks:
         list(penalty.row_blocks(11, 3, lambda lo, hi: run(lo, hi, width=100)))
         assert spans == [(0, 1)] + [(i, i + 1) for i in range(1, 11)]  # at least one unit
 
+    @pytest.mark.parametrize("block_rows", [1, 2, 3])
+    def test_narrow_output_blocks_agree_within_rounding(self, monkeypatch, block_rows):
+        # for some narrow widths BLAS rounds a row by the row count of its call,
+        # so a split is held to 1e-12 relative where it is not bit for bit
+        rng = np.random.default_rng(12)
+        g = Generator(latent_dim=3, output_dim=4, hidden_width=6, hidden_layers=2, seed=8)
+        z = rng.normal(size=(7, 3))
+        probes = rng.integers(0, 2, size=(3, 7, 3)) * 2.0 - 1.0
+        config = PenaltyConfig(k=3, taps=("norm1", "output"))
+        whole = hessian_penalty_estimate(g, z, config, probes=probes)
+        block_latent_rows(monkeypatch, block_rows, k=3)
+        blocked = hessian_penalty_estimate(g, z, config, probes=probes)
+
+        def close(got, want):
+            return np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+        assert close(blocked.per_sample, whole.per_sample)
+        for name in ("norm1", "output"):
+            assert close(blocked.per_component[name], whole.per_component[name])
+        assert close(blocked.value, whole.value)
+
     def test_wide_output_blocks_fit_the_budget(self):
         g = Generator(latent_dim=3, seed=2)  # 768 outputs, the widest array of a call
         z = np.random.default_rng(3).normal(size=(300, 3))
@@ -490,6 +512,91 @@ class TestRowBlocks:
         # the hidden blocks sit below a tanh whose vjp is wrong, the head does not
         assert min(report.per_parameter[f"hidden.{i}.weight"] for i in (0, 1)) > 1e-3
         assert max(report.per_parameter[f"head.{n}"] for n in ("weight", "bias")) <= 1e-4
+
+
+def repeated_point(n, rows, seed=1):
+    return np.repeat(np.random.default_rng(seed).normal(size=(1, n)), rows, axis=0)
+
+
+class TestDistinctProbes:
+    """Off the record, a batch that repeats one point evaluates each distinct probe once."""
+
+    functions = {
+        "generator-norms": (lambda: Generator(6, 768, 64, 3), ("norm1", "norm2"), 6),
+        "generator-output": (lambda: Generator(6, 768, 64, 3), ("output",), 6),
+        "quadratic": (lambda: QuadraticForm(sum(np.random.default_rng(4).normal(size=(2, 8, 8)))),
+                      (), 8),
+        "rotated-separable": (lambda: get_function("rotated-separable"), (), 4),
+    }
+
+    @pytest.mark.parametrize("case", list(functions))
+    @pytest.mark.parametrize("reduction", REDUCTIONS)
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("source", ["drawn", "float", "broadcast"])
+    def test_matches_the_full_path_bit_for_bit(self, monkeypatch, case, reduction, k, source):
+        make, taps, n = self.functions[case]
+        fn, rows = make(), 300  # blocked: one latent row first, then blocks that repeat probes
+        z = repeated_point(n, rows)
+        signs = np.random.default_rng(7).integers(0, 2, size=(k, rows, n)) * 2.0 - 1.0
+        kwargs = {"drawn": lambda: {"rng": np.random.default_rng(7)},
+                  "float": lambda: {"probes": signs},
+                  "broadcast": lambda: {"probes": signs[:, 0]}}[source]
+        config = PenaltyConfig(k=k, reduction=reduction, taps=taps)
+        stencil_rows = []
+        real = penalty._stencil_taps
+
+        def spy(f, zarr, probes, *args, **kw):
+            stencil_rows.append(2 * probes.shape[0] * probes.shape[1])
+            return real(f, zarr, probes, *args, **kw)
+
+        monkeypatch.setattr(penalty, "_stencil_taps", spy)
+        full = hessian_penalty_estimate(fn, z, config, **kwargs())
+        full_rows, stencil_rows[:] = sum(stencil_rows), []
+        with ad.no_grad():
+            distinct = hessian_penalty_estimate(fn, z, config, **kwargs())
+        assert sum(stencil_rows) < full_rows
+        assert np.array_equal(distinct.per_sample, full.per_sample)
+        for name in config.taps:
+            assert np.array_equal(distinct.per_component[name], full.per_component[name])
+        assert distinct.value == full.value
+
+    @pytest.mark.parametrize("rows", [16, 3000])
+    def test_repeated_point_off_the_record_evaluates_each_sign_vector_once(self, rows):
+        calls = []
+        with ad.no_grad():
+            hessian_penalty_estimate(counting(get_function("z1z2"), calls), repeated_point(2, rows),
+                                     PenaltyConfig(k=2), rng=np.random.default_rng(3))
+        assert len(calls) == (1 if rows == 16 else 2)  # the same blocks as the full path
+        assert max(n_rows for n_rows, _ in calls) <= 2 * 2**2
+
+    @pytest.mark.parametrize("case,rows,expected", [
+        ("distinct-rows", 16, [(64, 2)]),
+        ("distinct-rows", 3000, [(4, 2), (11996, 2)]),
+        ("recorded", 16, [(64, 2)]),
+        ("recorded", 3000, [(4, 2), (11996, 2)]),
+        ("no-more-draws-than-sign-vectors", 2, [(8, 2)]),  # k*b = 4 = 2**n
+    ])
+    def test_other_calls_are_unchanged(self, case, rows, expected):
+        z = repeated_point(2, rows)
+        if case == "distinct-rows":
+            z[-1, 0] += 1.0
+        calls = []
+        with contextlib.nullcontext() if case == "recorded" else ad.no_grad():
+            hessian_penalty_estimate(counting(get_function("z1z2"), calls), z,
+                                     PenaltyConfig(k=2), rng=np.random.default_rng(3))
+        assert calls == expected
+
+    def test_caller_rng_advances_as_on_the_full_path(self):
+        z, config = repeated_point(6, 300), PenaltyConfig(k=3, taps=("norm1",))
+        g = Generator(6, 768, 64, 3)
+        with ad.no_grad():
+            rng = np.random.default_rng(9)
+            hessian_penalty_estimate(g, z, config, rng=rng)
+        recorded = np.random.default_rng(9)
+        hessian_penalty_estimate(g, z, config, rng=recorded)
+        reference = np.random.default_rng(9)
+        reference.integers(0, 2, size=(3, 300, 6))  # the one draw of the probe bits
+        assert rng.integers(0, 2**62) == recorded.integers(0, 2**62) == reference.integers(0, 2**62)
 
 
 class Summed:
