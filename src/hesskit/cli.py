@@ -32,6 +32,7 @@ from .autodiff import no_grad
 from .data import SPEC_NAMES, dataset_from_manifest, dataset_spec, export_dataset, \
     sample_dataset
 from .errors import ContractViolation, NumericError
+from .files import overwrite
 from .functions import FUNCTION_NAMES, QuadraticForm, get_function
 from .metrics import PPLConfig, activeness_profile, ppl
 from .nets import Generator, default_taps, load_checkpoint, save_checkpoint
@@ -219,25 +220,12 @@ def _jsonable(obj):
     return obj
 
 
-def _overwrite(path: str, text: str) -> None:
-    """Write ``text`` over the file's old bytes, then cut it to length.
-
-    A rewrite that opens with truncation makes ext4 flush the file on close
-    (``auto_da_alloc``), which stalls a process that rewrites its reports
-    many times a second; writing in place leaves writeback to the kernel.
-    """
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
-        fh.write(text.encode("utf-8"))
-        fh.truncate()
-
-
 def _write_json(path: str, payload) -> None:
-    _overwrite(path, json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n")
+    overwrite(path, json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n")
 
 
 def _write_jsonl(path: str, records) -> None:
-    _overwrite(path, "".join(json.dumps(_jsonable(r), sort_keys=True) + "\n" for r in records))
+    overwrite(path, "".join(json.dumps(_jsonable(r), sort_keys=True) + "\n" for r in records))
 
 
 def _write_config(out: str, command: str, cfg: dict) -> None:
@@ -333,7 +321,7 @@ def _estimate_report(fn, z: np.ndarray, pconf: PenaltyConfig, repeat: int, seed:
         chunk = 4096
         for start in range(0, repeat, chunk):
             rows = min(chunk, repeat - start)
-            batch = np.repeat(z[None, :], rows, axis=0)
+            batch = np.broadcast_to(z, (rows, z.size))  # stride 0: one point, no copy
             trials.append(hessian_penalty_estimate(fn, batch, pconf, rng=rng).per_sample)
         trials = np.concatenate(trials)
         se = float(trials.std(ddof=1) / np.sqrt(trials.size)) if trials.size > 1 else 0.0
@@ -381,7 +369,7 @@ def _cmd_verify(cfg: dict, out: str) -> int:
         h = (raw + raw.T) / 2.0
         target = enumerate_variance(h)
         fn = QuadraticForm(h)
-        zeros = np.zeros((cfg["mc-trials"], cfg["mc-dim"]))
+        zeros = np.broadcast_to(np.zeros(cfg["mc-dim"]), (cfg["mc-trials"], cfg["mc-dim"]))
         with no_grad():  # values only, as in estimate
             trials = hessian_penalty_estimate(fn, zeros, pconf, rng=rng).per_sample
         se = float(trials.std(ddof=1) / np.sqrt(trials.size))

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation
+from .files import overwrite
 
 SEMANTICS = ("x-position", "y-position", "hue", "size")
 _ATTRS = ("x", "y", "hue", "size")
@@ -250,13 +251,10 @@ def export_dataset(dataset: Dataset, path: str) -> None:
         "seed": dataset.seed,
         "count": dataset.count,
     }
-    with open(os.path.join(path, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(os.path.join(path, "factors.csv"), "w", encoding="utf-8") as fh:
-        fh.write(",".join(dataset.spec.factor_names) + "\n")
-        for row in dataset.factors:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    overwrite(os.path.join(path, "manifest.json"),
+              json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    overwrite(os.path.join(path, "factors.csv"), ",".join(dataset.spec.factor_names) + "\n"
+              + "".join(",".join(repr(float(v)) for v in row) + "\n" for row in dataset.factors))
     side = dataset.spec.side
     for i, obs in enumerate(dataset.observations):
         _write_ppm(os.path.join(path, "samples", f"sample_{i:06d}.ppm"),
@@ -266,9 +264,7 @@ def export_dataset(dataset: Dataset, path: str) -> None:
 def _write_ppm(path: str, img: np.ndarray) -> None:
     pixels = np.clip(np.rint((img + 1.0) * 127.5), 0, 255).astype(np.uint8)
     header = f"P6\n{img.shape[1]} {img.shape[0]}\n255\n".encode("ascii")
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(pixels.tobytes())
+    overwrite(path, header + pixels.tobytes())
 
 
 def dataset_from_manifest(path: str) -> Dataset:

@@ -30,6 +30,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ContractViolation
+from .files import overwrite
 from .functions import as_batch
 
 CHECKPOINT_VERSION = 1
@@ -238,9 +239,7 @@ def save_checkpoint(net, path: str) -> str:
         ],
     }
     manifest_path = _manifest_path(path)
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    overwrite(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return manifest_path
 
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation
+from .files import overwrite
 from .penalty import _check_epsilon, exact_offdiag_penalty, forward_values, row_blocks
 
 ENUMERATION_LIMIT = 20
@@ -236,17 +237,12 @@ def export_hessian_heatmaps(hessians, path, top: int | None = None) -> list[dict
                 "pixmap": os.path.basename(pgm_path),
             }
         )
-    with open(os.path.join(path, "index.json"), "w", encoding="utf-8") as fh:
-        json.dump(index, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    overwrite(os.path.join(path, "index.json"), json.dumps(index, indent=2, sort_keys=True) + "\n")
     return index
 
 
 def _write_csv(path: str, matrix: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in matrix:
-            fh.write(",".join(repr(float(v)) for v in row))
-            fh.write("\n")
+    overwrite(path, "".join(",".join(repr(float(v)) for v in row) + "\n" for row in matrix))
 
 
 def _write_pgm(path: str, matrix: np.ndarray) -> None:
@@ -257,6 +253,4 @@ def _write_pgm(path: str, matrix: np.ndarray) -> None:
     else:
         pixels = np.full(matrix.shape, 128, dtype=np.uint8)  # degenerate range guard
     header = f"P5\n{matrix.shape[1]} {matrix.shape[0]}\n255\n".encode("ascii")
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(pixels.tobytes())
+    overwrite(path, header + pixels.tobytes())

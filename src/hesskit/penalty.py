@@ -23,13 +23,16 @@ sizes every stacked forward of the toolkit, runs a batch of more than
 ``_WHOLE_ROWS`` stacked rows (never a training step) in blocks whose
 widest array holds at most ``_BLOCK_VALUES`` float64 values, so an
 off-record caller (``estimate``, ``verify``) holds one block's activations
-at a time. Probe bits are drawn for the whole batch at once and each block
+at a time. Probe bits are drawn for the whole batch at once, as int32 (the
+values and stream of the default int64 draw in half the bytes), and each block
 turns only its own into signs. A row's results do not depend on blocking
 where BLAS rounds a row the same for any row count (not so for some narrow
 products, nor for a one-row call), and agree within 1e-12 relative otherwise.
-Off the record, a block that repeats one point and draws more probes than the
-2^n sign vectors evaluates each distinct probe once (a recorded call keeps one
-path to the parameters per draw); the draws themselves are unchanged.
+Off the record, a call whose rows all repeat one point (a stride-0 batch does
+without a look at its rows) and that draws more probes than the 2^n sign vectors
+tabulates the stencil sums of each sign vector once, in row blocks, and each draw
+reads its row of that (2^n, m) table; the draws, blocks and tail are those of the
+full path (a recorded call keeps one path to the parameters per draw).
 
 The estimate is assembled from differentiable primitives end to end, so
 it can be used directly as a training loss. Conventions:
@@ -195,7 +198,7 @@ def forward_values(fn, units: np.ndarray) -> tuple[np.ndarray, int]:
 
 def _prepare_latents(z) -> tuple[np.ndarray, bool]:
     arr = z.values if isinstance(z, ad.Tensor) else np.asarray(z, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr[:1] if arr.strides[:1] == (0,) else arr).all():  # stride 0: one row
         raise ContractViolation("latent input must be finite")
     if arr.ndim not in (1, 2) or 0 in arr.shape:
         raise ContractViolation(f"latent must be a non-empty 1-D or 2-D array, got {arr.shape}")
@@ -274,7 +277,8 @@ def hessian_penalty_estimate(fn, z, config: PenaltyConfig, rng=None, probes=None
     """Unbiased stochastic estimate of the off-diagonal Hessian penalty.
 
     Evaluates ``fn`` once per ``row_blocks`` block of latent rows, on the 2k
-    perturbed copies z +- e*v_j of the block stacked into one batch;
+    perturbed copies z +- e*v_j of the block stacked into one batch (off the
+    record at a repeated point, once per block of the 2^n sign vectors);
     no centre pass is needed because G(z) shifts every probe's second
     difference equally, and only the configured taps are computed. Takes the
     per-component Bessel-corrected variance over the k probes of
@@ -291,7 +295,7 @@ def hessian_penalty_estimate(fn, z, config: PenaltyConfig, rng=None, probes=None
 
     if probes is None:
         rng = np.random.default_rng(config.seed) if rng is None else rng
-        bits = rng.integers(0, 2, size=(config.k, n_rows, dim))
+        bits = rng.integers(0, 2, size=(config.k, n_rows, dim), dtype=np.int32)
     else:
         probes = np.asarray(probes, dtype=np.float64)
         if probes.ndim == 2 and probes.shape[1] == dim:
@@ -307,23 +311,36 @@ def hessian_penalty_estimate(fn, z, config: PenaltyConfig, rng=None, probes=None
     # scale before the variance: 1/e^4 after it would overflow for small e
     inv = 1.0 / (eps * eps)
 
-    def run(lo, hi):
-        zb, index = zarr[lo:hi], None
-        if not ad.grad_enabled() and 2 ** dim < config.k * (hi - lo) and (zb == zb[0]).all():
-            # one point, more draws than sign vectors: evaluate each distinct probe once
-            codes = bits[:, lo:hi] @ (1 << np.arange(dim))  # (k, b)
-            present = np.zeros(2 ** dim, dtype=bool)
-            present[codes] = True
-            distinct = np.flatnonzero(present)
-            index = (np.cumsum(present) - 1)[codes]  # each draw's row among the distinct
-            zb, signs = zb[:1], ((distinct[:, None, None] >> np.arange(dim)) & 1) * 2.0 - 1.0
-        else:  # per block: whole-batch signs would double the draw
-            signs = bits[:, lo:hi] * 2.0 - 1.0
+    def stencil_sums(zb, signs):
         stencil, width = _stencil_taps(fn, zb, signs, eps, config.taps, centre=False)
+        return {name: stencil[name].sum(axis=0) * inv for name in config.taps}, width
+
+    table = None
+    if (not ad.grad_enabled() and 2 ** dim < config.k * n_rows
+            and (zarr.strides[0] == 0 or (zarr == zarr[0]).all())):
+        # one point, more draws than sign vectors: tabulate every sign vector's sums once;
+        # a draw's code is its row (int32 is wide enough: 2^n < k*N draws fit in memory)
+        codes = bits @ (1 << np.arange(dim, dtype=np.int32))  # (k, N)
+        signs = ((np.arange(2 ** dim)[:, None, None] >> np.arange(dim)) & 1) * 2.0 - 1.0
+
+        def tabulate(lo, hi):  # units of 2 rows: the +e and -e stencil of one sign vector
+            sums, width = stencil_sums(zarr[:1], signs[lo:hi])
+            return (sums, width), width
+
+        parts = [part for _, part in row_blocks(2 ** dim, 2, tabulate)]
+        table_width = parts[0][1]
+        table = {name: np.concatenate([sums[name].values[:, 0] for sums, _ in parts])
+                 for name in config.taps}  # (2^n, m)
+
+    def run(lo, hi):
+        if table is None:  # per block: whole-batch signs would double the draw
+            block_sums, width = stencil_sums(zarr[lo:hi], bits[:, lo:hi] * 2.0 - 1.0)
+        else:
+            block_sums = {name: ad.Tensor(t[codes[:, lo:hi]]) for name, t in table.items()}
+            width = table_width
         block = {}
         for name in config.taps:
-            sums = stencil[name].sum(axis=0) * inv  # (k, b, m), or (u, 1, m) per distinct probe
-            sums = sums if index is None else ad.Tensor(sums.values[index, 0])  # (k, b, m)
+            sums = block_sums[name]  # (k, b, m)
             # with no centre pass the sums keep the offset 2 G(z)/e^2; subtracting their
             # probe mean as a constant keeps its rounding out of the variance's gradient
             var = (sums - sums.values.mean(axis=0)).var(axis=0, ddof=1)  # (b, m)

@@ -14,7 +14,9 @@ Three training modes share one loop:
   to zero.
 
 Penalty probes draw from a stream independent of data/latent sampling,
-so a run with ``lambda = 0`` follows exactly the baseline trajectory.
+so a run with ``lambda = 0`` follows exactly the baseline trajectory. A
+step with ``lambda_t = 0`` (each step of such a run, step 0 of a warm-up)
+still draws and logs the penalty, but off the record and out of the loss.
 
 Direction discovery freezes a trained (or analytic) generator and
 optimizes an orthonormal matrix A whose columns are latent directions:
@@ -30,6 +32,7 @@ Loops are sequential and deterministic per seed.
 
 from __future__ import annotations
 
+import contextlib
 import time
 from dataclasses import dataclass
 
@@ -228,9 +231,10 @@ class Trainer:
             self._latents = dataset.latents(config.latent_dim)
         self.log = TrainLog()
 
-    def _penalty(self, z: np.ndarray):
-        return hessian_penalty_estimate(self.generator, z, self.penalty_config,
-                                        rng=self._probe_rng)
+    def _penalty(self, z: np.ndarray, lam_t: float):
+        with contextlib.nullcontext() if lam_t else ad.no_grad():
+            return hessian_penalty_estimate(self.generator, z, self.penalty_config,
+                                            rng=self._probe_rng)
 
     def gan_step(self, real_batch: np.ndarray, t: int) -> dict:
         """Discriminator update on the unchanged adversarial objective, then
@@ -252,8 +256,8 @@ class Trainer:
         try:
             out, _ = g(z_g)
             adv = ad.softplus(-d(out)).mean()
-            penalty = self._penalty(z_g)
-            g_loss = adv + penalty.scalar * lam_t
+            penalty = self._penalty(z_g, lam_t)
+            g_loss = adv + penalty.scalar * lam_t if lam_t else adv
             self.opt_g.zero_grad()
             ad.backward(g_loss)
             self.opt_g.step()
@@ -277,8 +281,8 @@ class Trainer:
         target = self.dataset.observations[batch_idx]
         out, _ = self.generator(z)
         recon = ad.square(out - target).mean()
-        penalty = self._penalty(z)
-        loss = recon + penalty.scalar * lam_t
+        penalty = self._penalty(z, lam_t)
+        loss = recon + penalty.scalar * lam_t if lam_t else recon
         self.opt_g.zero_grad()
         ad.backward(loss)
         self.opt_g.step()

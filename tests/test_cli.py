@@ -9,6 +9,7 @@ import pytest
 from hesskit import autodiff as ad
 from hesskit import cli
 from hesskit.cli import main
+from hesskit.files import overwrite
 from hesskit.nets import Generator, load_checkpoint, save_checkpoint
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -43,6 +44,17 @@ def test_rerun_with_a_shorter_report_leaves_no_old_bytes(tmp_path):
         with open(os.path.join(reused, name), "rb") as got, \
                 open(os.path.join(fresh, name), "rb") as want:
             assert got.read() == want.read()
+
+
+def test_overwrite_writes_text_or_bytes_over_the_same_file(tmp_path):
+    path = str(tmp_path / "new" / "file")
+    overwrite(path, "a longer first text, é")
+    inode = os.stat(path).st_ino
+    overwrite(path, b"P5\n\x00\xff")
+    assert (tmp_path / "new" / "file").read_bytes() == b"P5\n\x00\xff"
+    overwrite(path, "é")
+    assert (tmp_path / "new" / "file").read_bytes() == "é".encode("utf-8")
+    assert os.stat(path).st_ino == inode
 
 
 def test_estimate_repeat_matches_enumerated_value(tmp_path):

@@ -111,6 +111,16 @@ def test_export_and_regenerate_from_manifest(tmp_path):
     assert np.array_equal(np.atleast_2d(loaded_factors).reshape(ds.factors.shape), ds.factors)
 
 
+def test_reexport_in_place_matches_a_fresh_export(tmp_path):
+    export_dataset(sample_dataset(dataset_spec("1fov"), 6, seed=11), str(tmp_path / "reused"))
+    ds = sample_dataset(dataset_spec("1fov"), 3, seed=7)
+    export_dataset(ds, str(tmp_path / "reused"))
+    export_dataset(ds, str(tmp_path / "fresh"))
+    samples = [f"samples/sample_{i:06d}.ppm" for i in range(3)]
+    for name in ["manifest.json", "factors.csv"] + samples:
+        assert (tmp_path / "reused" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+
+
 def test_spec_roundtrip_through_dict():
     spec = dataset_spec("complex-2object")
     assert FactorSpec.from_dict(spec.to_dict()) == spec

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -232,6 +233,19 @@ class TestHeatmapExport:
             assert pgm.startswith(b"P5\n4 4\n255\n")
             assert len(pgm) == len(b"P5\n4 4\n255\n") + 16
         assert json.loads((tmp_path / "index.json").read_text()) == index
+
+    def test_rewrite_in_place_matches_a_fresh_export(self, tmp_path):
+        reused, fresh = str(tmp_path / "reused"), str(tmp_path / "fresh")
+        export_hessian_heatmaps(np.random.default_rng(5).normal(size=(2, 4, 4)), reused)
+        inode = os.stat(os.path.join(reused, "hessian_00000.csv")).st_ino
+        mats = np.zeros((2, 4, 4))  # shorter CSV rows and index than the first export
+        export_hessian_heatmaps(mats, reused)
+        export_hessian_heatmaps(mats, fresh)
+        assert sorted(os.listdir(reused)) == sorted(os.listdir(fresh))
+        for name in os.listdir(fresh):
+            assert (tmp_path / "reused" / name).read_bytes() == \
+                (tmp_path / "fresh" / name).read_bytes()
+        assert os.stat(os.path.join(reused, "hessian_00000.csv")).st_ino == inode
 
     def test_all_zero_matrix_renders_mid_gray(self, tmp_path):
         index = export_hessian_heatmaps(np.zeros((1, 3, 3)), str(tmp_path))

@@ -472,7 +472,7 @@ class TestRowBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        bits = 2 * zeros.size * 8  # the k int64 sign bits per latent entry, drawn at once
+        bits = 2 * zeros.size * 8  # the k sign bits per latent entry as int64 (drawn as int32)
         assert peak < 1.5 * bits  # a whole float64 copy of the signs would reach 2 * bits
 
     def test_gradient_check_through_blocks(self, monkeypatch):
@@ -518,8 +518,16 @@ def repeated_point(n, rows, seed=1):
     return np.repeat(np.random.default_rng(seed).normal(size=(1, n)), rows, axis=0)
 
 
+def assert_same_value(got, want):
+    assert np.array_equal(got.per_sample, want.per_sample)
+    assert got.per_component.keys() == want.per_component.keys()
+    for name in want.per_component:
+        assert np.array_equal(got.per_component[name], want.per_component[name])
+    assert got.value == want.value
+
+
 class TestDistinctProbes:
-    """Off the record, a batch that repeats one point evaluates each distinct probe once."""
+    """Off the record, a batch that repeats one point evaluates each sign vector once."""
 
     functions = {
         "generator-norms": (lambda: Generator(6, 768, 64, 3), ("norm1", "norm2"), 6),
@@ -566,8 +574,7 @@ class TestDistinctProbes:
         with ad.no_grad():
             hessian_penalty_estimate(counting(get_function("z1z2"), calls), repeated_point(2, rows),
                                      PenaltyConfig(k=2), rng=np.random.default_rng(3))
-        assert len(calls) == (1 if rows == 16 else 2)  # the same blocks as the full path
-        assert max(n_rows for n_rows, _ in calls) <= 2 * 2**2
+        assert calls == [(2 * 2**2, 2)]  # one table of the 4 sign vectors for any batch size
 
     @pytest.mark.parametrize("case,rows,expected", [
         ("distinct-rows", 16, [(64, 2)]),
@@ -585,6 +592,49 @@ class TestDistinctProbes:
             hessian_penalty_estimate(counting(get_function("z1z2"), calls), z,
                                      PenaltyConfig(k=2), rng=np.random.default_rng(3))
         assert calls == expected
+
+    @pytest.mark.parametrize("recorded", [False, True])
+    @pytest.mark.parametrize("case", ["generator-norms", "generator-output", "quadratic"])
+    def test_stride_zero_batch_equals_its_copy(self, case, recorded):
+        make, taps, n = self.functions[case]
+        fn, point = make(), np.random.default_rng(2).normal(size=n)
+        config = PenaltyConfig(k=3, taps=taps)
+        values = []
+        for z in (np.broadcast_to(point, (300, n)), np.repeat(point[None], 300, axis=0)):
+            with contextlib.nullcontext() if recorded else ad.no_grad():
+                values.append(hessian_penalty_estimate(fn, z, config, rng=np.random.default_rng(6)))
+        assert_same_value(*values)
+
+    @pytest.mark.parametrize("recorded", [False, True])
+    def test_stride_zero_batch_with_nan_is_rejected(self, recorded):
+        z = np.broadcast_to(np.array([0.0, np.nan]), (50, 2))
+        with contextlib.nullcontext() if recorded else ad.no_grad():
+            with pytest.raises(ContractViolation, match="finite"):
+                hessian_penalty_estimate(get_function("z1z2"), z, PenaltyConfig(k=2))
+
+    def test_large_table_runs_in_row_blocks(self):
+        raw = np.random.default_rng(8).normal(size=(10, 10))
+        fn, z, config = QuadraticForm(raw + raw.T), repeated_point(10, 600), PenaltyConfig(k=2)
+        full = hessian_penalty_estimate(fn, z, config, rng=np.random.default_rng(4))
+        calls = []
+        with ad.no_grad():
+            table = hessian_penalty_estimate(counting(fn, calls), z, config,
+                                             rng=np.random.default_rng(4))
+        # 1,024 sign vectors of 2 rows each: one vector first, then the rest within 1 MiB
+        assert calls == [(2, 10), (2 * 1023, 10)]
+        assert_same_value(table, full)
+
+    def test_drawn_probes_are_the_default_int64_draw(self):
+        # the estimator draws int32 bits: numpy gives them the values and stream of this draw
+        z = np.random.default_rng(3).normal(size=(40, 6))
+        fn, config = Generator(6, 768, 64, 3), PenaltyConfig(k=3, taps=("norm1", "output"))
+        rng, reference = np.random.default_rng(11), np.random.default_rng(11)
+        drawn = hessian_penalty_estimate(fn, z, config, rng=rng)
+        signs = reference.integers(0, 2, size=(3, 40, 6)) * 2.0 - 1.0
+        injected = hessian_penalty_estimate(fn, z, config, probes=signs)
+        assert np.array_equal(drawn.per_sample, injected.per_sample)
+        assert drawn.value == injected.value
+        assert rng.integers(0, 2**62) == reference.integers(0, 2**62)
 
     def test_caller_rng_advances_as_on_the_full_path(self):
         z, config = repeated_point(6, 300), PenaltyConfig(k=3, taps=("norm1",))

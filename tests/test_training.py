@@ -181,6 +181,26 @@ class TestTrainerDeterminism:
             for p, g in zip(d_params, left):
                 assert np.array_equal(p.grad, g), p.name
 
+    @pytest.mark.parametrize("mode", ["reconstruction", "gan"])
+    def test_zero_weight_steps_evaluate_the_penalty_off_the_record(self, monkeypatch, mode):
+        from hesskit import training
+
+        recorded = []
+        real = training.hessian_penalty_estimate
+
+        def spy(*args, **kwargs):
+            recorded.append(ad.grad_enabled())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(training, "hessian_penalty_estimate", spy)
+        common = dict(mode=mode, dataset="1fov", latent_dim=2, steps=3, batch_size=8,
+                      dataset_size=64, warmup_steps=2, seed=3)
+        for weight, expected in ((0.0, [False] * 3), (0.1, [False, True, True])):
+            recorded.clear()
+            log = train(TrainConfig(penalty_weight=weight, **common)).log
+            assert recorded == expected  # lambda_0 = 0 under the warm-up
+            assert np.all(np.isfinite(log.values("penalty"))) and len(log.values("penalty")) == 3
+
     def test_penalty_gradient_vanishes_at_step_zero(self):
         # lambda_0 = 0, so one step with any weight matches one lambda=0 step
         common = dict(mode="reconstruction", dataset="1fov", latent_dim=2, steps=1,
