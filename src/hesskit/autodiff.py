@@ -10,7 +10,8 @@ frozen network costs only the products that reach the trainable side.
 Only the primitives the toolkit actually needs are provided: 2-D matrix
 multiply, bias add, elementwise arithmetic and scaling, tanh, the leaky
 rectifier with its fixed 0.2 slope, softplus, square, sum / mean /
-variance / max reductions, stacking, reshaping and feature normalization.
+variance / max reductions, stacking, reshaping, feature normalization and
+the penalty's probe-variance tail.
 
 Everything is float64; finite-difference losses divide second differences
 by epsilon**2 and need the headroom. Any primitive that produces a
@@ -366,6 +367,47 @@ def _reduce_max(a, axis) -> Tensor:
         return (grad,)
 
     return _make("max", out, (a,), vjp)
+
+
+def _probe_variance(sums: np.ndarray, reduction: str, out: np.ndarray, keep: bool = False):
+    """Probe variances of (k, b, m) ``sums`` into ``out``; returns their per-row max or mean:
+    ``(sums - sums.mean(axis=0)).var(axis=0, ddof=1)`` bit for bit, as np.var's own steps
+    in place on ``sums``; ``keep`` squares into scratch and leaves ``sums`` centred."""
+    k = sums.shape[0]
+    sums -= np.sum(sums, axis=0) / k
+    sums -= np.sum(sums, axis=0) / k
+    np.sum(np.square(sums, out=None if keep else sums), axis=0, out=out)
+    if k > 2:  # a division by 1 is exact
+        out /= k - 1
+    if reduction == "max" and out.shape[-1] > 1:  # faster than max over short rows
+        reduced = out[np.arange(len(out)), out.argmax(axis=-1)]
+    else:
+        reduced = out.max(axis=-1) if reduction == "max" else out.mean(axis=-1)
+    if not np.isfinite(reduced).all():  # a NaN or inf variance reaches its row's max or mean
+        raise NumericError("non-finite result in op 'probe_variance'")
+    return reduced
+
+
+def probe_variance(stencil, inv: float, reduction: str, out: np.ndarray) -> Tensor:
+    """The penalty tail of one tap's (2, k, b, m) stencil rows as one op: the variances of
+    ``stencil.sum(axis=0) * inv`` about their probe mean go to ``out``, reduced by ``max``
+    or ``mean``. The mean is a constant, which keeps its rounding out of the gradient. The
+    vjp repeats the five ops' vjps on its own sums and argmax."""
+    sums = np.sum(stencil.values, axis=0) * inv
+    keep = grad_enabled() and stencil.requires_grad
+    reduced = _probe_variance(sums, reduction, out, keep)
+    idx = np.argmax(out, axis=-1) if keep and reduction == "max" else None
+
+    def vjp(g):
+        if idx is None:
+            gvar = _expand(g, -1, sums.shape[1:]) / sums.shape[-1]
+        else:
+            gvar = np.zeros(sums.shape[1:])
+            np.put_along_axis(gvar, np.expand_dims(idx, -1), np.expand_dims(g, -1), -1)
+        gsums = _expand(gvar, 0, sums.shape) * (2.0 / (sums.shape[0] - 1)) * sums
+        return (_expand(gsums * inv, 0, stencil.shape),)
+
+    return _make("probe_variance", reduced, (stencil,), vjp)
 
 
 def stack(tensors, axis: int = 0) -> Tensor:

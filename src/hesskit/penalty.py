@@ -27,12 +27,16 @@ at a time. Probe bits are drawn for the whole batch at once, as int32 (the
 values and stream of the default int64 draw in half the bytes), and each block
 turns only its own into signs. A row's results do not depend on blocking
 where BLAS rounds a row the same for any row count (not so for some narrow
-products, nor for a one-row call), and agree within 1e-12 relative otherwise.
+products, nor for a one-row call). Otherwise a row's entries agree within
+2.4e-14 of its largest entry and the value within 2e-16 relative, as measured;
+a single entry whose variance nearly cancels can differ by 5.9e-11 relative.
 Off the record, a call whose rows all repeat one point (a stride-0 batch does
 without a look at its rows) and that draws more probes than the 2^n sign vectors
 tabulates the stencil sums of each sign vector once, in row blocks, and each draw
 reads its row of that (2^n, m) table; the draws, blocks and tail are those of the
 full path (a recorded call keeps one path to the parameters per draw).
+Each block's tail is one kernel per tap (``autodiff.probe_variance``, one recorded
+op) that writes its variances into ``per_component``, allocated once per call.
 
 The estimate is assembled from differentiable primitives end to end, so
 it can be used directly as a training loss. Conventions:
@@ -266,8 +270,8 @@ def second_directional_fd(fn, z, v, epsilon: float, taps: tuple[str, ...] | None
     return {name: diff(rows) for name, rows in stencil.items()}
 
 
-def _row_mean(blocks: tuple[ad.Tensor, ...], n_rows: int) -> ad.Tensor:
-    """Mean over all rows of per-row values that arrive in blocks."""
+def _row_mean(blocks: list, n_rows: int):
+    """Mean over all rows of per-row values that arrive in blocks (Tensors or arrays)."""
     if len(blocks) == 1:
         return blocks[0].mean()
     return sum((block.sum() for block in blocks[1:]), blocks[0].sum()) * (1.0 / n_rows)
@@ -311,10 +315,6 @@ def hessian_penalty_estimate(fn, z, config: PenaltyConfig, rng=None, probes=None
     # scale before the variance: 1/e^4 after it would overflow for small e
     inv = 1.0 / (eps * eps)
 
-    def stencil_sums(zb, signs):
-        stencil, width = _stencil_taps(fn, zb, signs, eps, config.taps, centre=False)
-        return {name: stencil[name].sum(axis=0) * inv for name in config.taps}, width
-
     table = None
     if (not ad.grad_enabled() and 2 ** dim < config.k * n_rows
             and (zarr.strides[0] == 0 or (zarr == zarr[0]).all())):
@@ -324,42 +324,40 @@ def hessian_penalty_estimate(fn, z, config: PenaltyConfig, rng=None, probes=None
         signs = ((np.arange(2 ** dim)[:, None, None] >> np.arange(dim)) & 1) * 2.0 - 1.0
 
         def tabulate(lo, hi):  # units of 2 rows: the +e and -e stencil of one sign vector
-            sums, width = stencil_sums(zarr[:1], signs[lo:hi])
-            return (sums, width), width
+            stencil, width = _stencil_taps(fn, zarr[:1], signs[lo:hi], eps, config.taps,
+                                           centre=False)
+            return ({name: np.sum(stencil[name].values, axis=0)[:, 0] * inv
+                     for name in config.taps}, width), width
 
         parts = [part for _, part in row_blocks(2 ** dim, 2, tabulate)]
         table_width = parts[0][1]
-        table = {name: np.concatenate([sums[name].values[:, 0] for sums, _ in parts])
+        table = {name: np.concatenate([sums[name] for sums, _ in parts])
                  for name in config.taps}  # (2^n, m)
+
+    per_component: dict[str, np.ndarray] = {}
+    per_sample = np.zeros(n_rows)
+    reduced: dict[str, list] = {name: [] for name in config.taps}
 
     def run(lo, hi):
         if table is None:  # per block: whole-batch signs would double the draw
-            block_sums, width = stencil_sums(zarr[lo:hi], bits[:, lo:hi] * 2.0 - 1.0)
-        else:
-            block_sums = {name: ad.Tensor(t[codes[:, lo:hi]]) for name, t in table.items()}
-            width = table_width
-        block = {}
+            stencil, width = _stencil_taps(fn, zarr[lo:hi], bits[:, lo:hi] * 2.0 - 1.0, eps,
+                                           config.taps, centre=False)
         for name in config.taps:
-            sums = block_sums[name]  # (k, b, m)
-            # with no centre pass the sums keep the offset 2 G(z)/e^2; subtracting their
-            # probe mean as a constant keeps its rounding out of the variance's gradient
-            var = (sums - sums.values.mean(axis=0)).var(axis=0, ddof=1)  # (b, m)
-            block[name] = var.values, (var.max(axis=-1) if config.reduction == "max"
-                                       else var.mean(axis=-1))
-        return block, width
+            rows = stencil[name] if table is None else table[name][codes[:, lo:hi]]
+            if name not in per_component:  # the first block shows the tap's width
+                per_component[name] = np.empty((n_rows, rows.shape[-1]))
+            out = per_component[name][lo:hi]
+            # the tail's centring removes the 2 G(z)/e^2 the sums keep without a centre pass
+            part = (ad.probe_variance(rows, inv, config.reduction, out) if table is None
+                    else ad._probe_variance(rows, config.reduction, out))
+            per_sample[lo:hi] += part.values if table is None else part
+            reduced[name].append(part)
+        return None, width if table is None else table_width
 
-    blocks = [block for _, block in row_blocks(n_rows, 2 * config.k, run)]
-    per_component: dict[str, np.ndarray] = {}
-    tap_scalars = []
-    per_sample = np.zeros(n_rows)
-    for name in config.taps:
-        variances, reduced = zip(*(block[name] for block in blocks))
-        per_component[name] = np.concatenate(variances)
-        per_sample = per_sample + np.concatenate([r.values for r in reduced])
-        tap_scalars.append(_row_mean(reduced, n_rows))
-
+    list(row_blocks(n_rows, 2 * config.k, run))  # run writes each block's rows in place
     per_sample /= len(config.taps)
-    loss = sum(tap_scalars[1:], tap_scalars[0]) * (1.0 / len(config.taps))
+    tap_scalars = [_row_mean(reduced[name], n_rows) for name in config.taps]
+    loss = ad._coerce(sum(tap_scalars[1:], tap_scalars[0]) * (1.0 / len(config.taps)))
 
     return PenaltyValue(scalar=loss, per_component=per_component, per_sample=per_sample,
                         config=config)

@@ -83,6 +83,7 @@ class Adam:
             p.values = self._values[lo:hi].reshape(p.shape)
             p.grad = self._grads[lo:hi].reshape(p.shape)
         self._m, self._v = np.zeros_like(self._values), np.zeros_like(self._values)
+        self._s, self._u = np.empty_like(self._values), np.empty_like(self._values)  # scratch
         self._t = 0
 
     def zero_grad(self) -> None:
@@ -92,10 +93,9 @@ class Adam:
         self._t += 1
         b1c = 1.0 - self.beta1**self._t
         b2c = 1.0 - self.beta2**self._t
-        m, v, g = self._m, self._v, self._grads
+        m, v, g, s, u = self._m, self._v, self._grads, self._s, self._u
         # values - lr * (m / b1c) / (sqrt(v / b2c) + eps) one ufunc at a time, in
-        # the per-parameter formula's order (bit-identical); scratch is per step
-        s, u = np.empty_like(g), np.empty_like(g)
+        # the per-parameter formula's order (bit-identical), through two kept scratch buffers
         np.multiply(m, self.beta1, out=m)
         np.add(m, np.multiply(g, 1.0 - self.beta1, out=s), out=m)
         np.multiply(v, self.beta2, out=v)

@@ -147,6 +147,11 @@ _PRIMITIVES = {
     "stack": lambda a, b: ad.stack([a, b], axis=0),
     "reshape": lambda a, b: a.reshape((12,)),
     "transpose": lambda a, b: ad.transpose(a),
+    # (2, k, b, m) stencil rows: k=3 probes, one row, 2 components; k=2, 3 components
+    "probe_variance_max": lambda a, b: ad.probe_variance(ad.reshape(a, (2, 3, 1, 2)), 1.7, "max",
+                                                         np.empty((1, 2))),
+    "probe_variance_mean": lambda a, b: ad.probe_variance(ad.reshape(a, (2, 2, 1, 3)), 1.7,
+                                                          "mean", np.empty((1, 3))),
 }
 
 

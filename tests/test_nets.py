@@ -106,7 +106,8 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     z = np.random.default_rng(0).normal(size=(2, 4))
     assert np.array_equal(g(z)[0].values, loaded(z)[0].values)
 
-    manifest = json.loads(open(manifest_path).read())
+    with open(manifest_path) as f:
+        manifest = json.load(f)
     assert manifest["kind"] == "generator"
     names = {entry["name"] for entry in manifest["parameters"]}
     assert names == {p.name for p in g.parameters()}

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from hesskit import autodiff as ad
 from hesskit import penalty
-from hesskit.errors import ContractViolation
+from hesskit.errors import ContractViolation, NumericError
 from hesskit.functions import QuadraticForm, SeparablePolynomial, get_function
 from hesskit.metrics import PPLConfig, ppl
 from hesskit.nets import Generator
@@ -647,6 +647,109 @@ class TestDistinctProbes:
         reference = np.random.default_rng(9)
         reference.integers(0, 2, size=(3, 300, 6))  # the one draw of the probe bits
         assert rng.integers(0, 2**62) == recorded.integers(0, 2**62) == reference.integers(0, 2**62)
+
+
+def five_op_tail(stencil, inv, reduction, out):
+    """The penalty tail as five recorded ops (sum, scale, sub, var, max or mean): the
+    reference ``ad.probe_variance`` repeats bit for bit, values and vjps."""
+    sums = stencil.sum(axis=0) * inv
+    var = (sums - sums.values.mean(axis=0)).var(axis=0, ddof=1)
+    out[...] = var.values
+    return var.max(axis=-1) if reduction == "max" else var.mean(axis=-1)
+
+
+class TestProbeVariance:
+    """The fused tail against its five-op reference, on and off the record."""
+
+    functions = {
+        "generator-three-taps": (lambda: Generator(6, 768, 64, 3, seed=2),
+                                 ("norm1", "norm2", "output"), 6),
+        "generator-output": (lambda: Generator(6, 768, 64, 3, seed=2), ("output",), 6),
+        "quadratic": (lambda: QuadraticForm(sum(np.random.default_rng(4).normal(size=(2, 8, 8)))),
+                      (), 8),
+    }
+
+    def run(self, case, reduction, k, rows, recorded=True):
+        make, taps, n = self.functions[case]
+        fn = make()
+        z = np.random.default_rng(rows).normal(size=(rows, n))
+        with contextlib.nullcontext() if recorded else ad.no_grad():
+            pv = hessian_penalty_estimate(fn, z, PenaltyConfig(k=k, reduction=reduction, taps=taps),
+                                          rng=np.random.default_rng(9))
+        if recorded:
+            ad.backward(pv.scalar)
+        return pv, [p.grad.copy() for p in getattr(fn, "parameters", list)()]
+
+    @pytest.mark.parametrize("case", list(functions))
+    @pytest.mark.parametrize("reduction", REDUCTIONS)
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("rows", [16, 300])  # one block, and blocks with one row first
+    @pytest.mark.parametrize("recorded", [True, False])
+    def test_matches_the_five_op_tail_bit_for_bit(self, monkeypatch, case, reduction, k, rows,
+                                                  recorded):
+        fused, fused_grads = self.run(case, reduction, k, rows, recorded)
+        monkeypatch.setattr(ad, "probe_variance", five_op_tail)
+        want, want_grads = self.run(case, reduction, k, rows, recorded)
+        assert_same_value(fused, want)
+        assert len(fused_grads) == len(want_grads)
+        for got, expected in zip(fused_grads, want_grads):
+            assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("reduction", REDUCTIONS)
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("m", [1, 5])  # one component, and a row of several
+    def test_kernel_matches_the_five_op_tail(self, reduction, k, m):
+        sums = np.random.default_rng(k).normal(size=(k, 7, m)) * 1e3 + 50.0
+        want_out = np.empty((7, m))
+        want = five_op_tail(ad.Tensor(sums[None]), 1.0, reduction, want_out)
+        for keep in (False, True):
+            out = np.empty((7, m))
+            got = ad._probe_variance(sums.copy(), reduction, out, keep)
+            assert np.array_equal(out, want_out)
+            assert np.array_equal(got, want.values)
+
+    @pytest.mark.parametrize("reduction", REDUCTIONS)
+    def test_caller_writes_to_per_component_change_no_gradient(self, reduction):
+        _, want = self.run("generator-three-taps", reduction, 2, 16)
+        make, taps, n = self.functions["generator-three-taps"]
+        fn = make()
+        z = np.random.default_rng(16).normal(size=(16, n))
+        pv = hessian_penalty_estimate(fn, z, PenaltyConfig(k=2, reduction=reduction, taps=taps),
+                                      rng=np.random.default_rng(9))
+        for variances in pv.per_component.values():
+            variances[:, ::-1] = np.arange(variances.size).reshape(variances.shape)  # new argmax
+        ad.backward(pv.scalar)
+        for p, expected in zip(fn.parameters(), want):
+            assert np.array_equal(p.grad, expected)
+
+    @pytest.mark.parametrize("recorded", [False, True])
+    def test_nonfinite_tail_names_the_op(self, recorded):
+        # finite function values whose squared spread over the probes overflows
+        fn = QuadraticForm(np.array([[0.0, 1e200], [1e200, 0.0]]))
+        with contextlib.nullcontext() if recorded else ad.no_grad():
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(NumericError, match="probe_variance"):
+                    hessian_penalty_estimate(fn, repeated_point(2, 50), PenaltyConfig(k=2),
+                                             rng=np.random.default_rng(0))
+
+    @pytest.mark.parametrize("reduction", REDUCTIONS)
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_kernel_rejects_an_overflowing_variance(self, reduction, m):
+        sums = np.zeros((2, 4, m))
+        sums[0, 2, -1], sums[1, 2, -1] = 1e200, -1e200  # finite sums whose squares overflow
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericError, match="probe_variance"):
+                ad._probe_variance(sums, reduction, np.empty((4, m)))
+
+    def test_reconstruction_loss_records_45_ops(self):
+        g = Generator(6, 768, 64, 3, seed=2)
+        rng = np.random.default_rng(1)
+        z, target = rng.normal(size=(16, 6)), rng.normal(size=(16, 768))
+        out, _ = g(z)
+        pv = hessian_penalty_estimate(g, z, PenaltyConfig(k=2, taps=("norm1", "norm2", "output")),
+                                      rng=rng)
+        loss = ad.square(out - target).mean() + pv.scalar * 0.1
+        assert sum(node.op != "leaf" for node in ad.record(loss)) == 45
 
 
 class Summed:
