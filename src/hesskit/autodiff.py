@@ -7,11 +7,14 @@ record in reverse topological order, accumulating in place (``+=``) into
 buffer. The binary vjps return None for a parent that needs no gradient (a
 constant, or a frozen parameter) instead of computing its product, so a
 frozen network costs only the products that reach the trainable side.
-Only the primitives the toolkit actually needs are provided: 2-D matrix
-multiply, bias add, elementwise arithmetic and scaling, tanh, the leaky
-rectifier with its fixed 0.2 slope, softplus, square, sum / mean /
-variance / max reductions, stacking, reshaping, feature normalization and
-the penalty's probe-variance tail.
+The toolkit uses these primitives: 2-D matrix multiply, bias add,
+elementwise arithmetic and scaling, tanh, the leaky rectifier with its
+fixed 0.2 slope, softplus, square, sum / mean reductions, reshaping,
+feature normalization and the penalty's probe-variance tail. Stacking and
+the variance and max reductions have no caller in the package. They stay
+only because the benchmark tracer patches them by name and the tests
+check the probe-variance tail against the five-op chain it replaced; they
+go with the next change to the benchmark (ROADMAP item 6).
 
 Everything is float64; finite-difference losses divide second differences
 by epsilon**2 and need the headroom. Any primitive that produces a
@@ -197,16 +200,27 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
+def _binary(kind: str, op, a, b) -> tuple[Tensor, Tensor, np.ndarray]:
+    """Both operands as tensors and ``op`` of their values; a shape clash is a ContractViolation."""
+    a, b = _coerce(a), _coerce(b)
+    try:
+        return a, b, op(a.values, b.values)
+    except ValueError as exc:
+        raise ContractViolation(f"{kind}: shapes {a.shape} and {b.shape} do not conform") from exc
+
+
+def _matmul_2d(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    if x.ndim != 2 or y.ndim != 2:
+        raise ContractViolation(f"matmul: expects 2-D operands, got {x.shape} @ {y.shape}")
+    return np.matmul(x, y)
+
+
 # ---------------------------------------------------------------------------
 # primitives
 
 
 def add(a, b) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
-    try:
-        out = a.values + b.values
-    except ValueError as exc:
-        raise ContractViolation(f"add: shapes {a.shape} and {b.shape} do not conform") from exc
+    a, b, out = _binary("add", np.add, a, b)
 
     def vjp(g):
         return (_unbroadcast(g, a.shape) if a.requires_grad else None,
@@ -216,11 +230,7 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
-    try:
-        out = a.values - b.values
-    except ValueError as exc:
-        raise ContractViolation(f"sub: shapes {a.shape} and {b.shape} do not conform") from exc
+    a, b, out = _binary("sub", np.subtract, a, b)
 
     def vjp(g):
         return (_unbroadcast(g, a.shape) if a.requires_grad else None,
@@ -230,11 +240,7 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
-    try:
-        out = a.values * b.values
-    except ValueError as exc:
-        raise ContractViolation(f"mul: shapes {a.shape} and {b.shape} do not conform") from exc
+    a, b, out = _binary("mul", np.multiply, a, b)
 
     def vjp(g):
         return (_unbroadcast(g * b.values, a.shape) if a.requires_grad else None,
@@ -254,13 +260,7 @@ def scale(a, c: float) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ContractViolation(f"matmul: expects 2-D operands, got {a.shape} @ {b.shape}")
-    try:
-        out = np.matmul(a.values, b.values)
-    except ValueError as exc:
-        raise ContractViolation(f"matmul: shapes {a.shape} and {b.shape} do not conform") from exc
+    a, b, out = _binary("matmul", _matmul_2d, a, b)
 
     def vjp(g):
         return (g @ b.values.T if a.requires_grad else None,

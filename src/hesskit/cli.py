@@ -34,7 +34,7 @@ from .data import SPEC_NAMES, dataset_from_manifest, dataset_spec, export_datase
 from .errors import ContractViolation, NumericError
 from .files import overwrite
 from .functions import FUNCTION_NAMES, QuadraticForm, get_function
-from .metrics import PPLConfig, activeness_profile, ppl
+from .metrics import PPLConfig, _mean_se, activeness_profile, ppl
 from .nets import Generator, default_taps, load_checkpoint, save_checkpoint
 from .oracle import diagonality_metrics, enumerate_variance, export_hessian_heatmaps, \
     hessian_sets_for
@@ -251,18 +251,17 @@ def _parse_point(text: str | None, dim: int) -> np.ndarray:
 
 
 def _load_function(cfg: dict):
-    """Resolve --fn / --checkpoint into (function, input_dim, is_generator)."""
+    """Resolve --fn / --checkpoint into a generator or a built-in function."""
     if cfg.get("checkpoint") and cfg.get("fn"):
         raise ContractViolation("--fn and --checkpoint are mutually exclusive")
     if cfg.get("checkpoint"):
         net = load_checkpoint(cfg["checkpoint"])
         if not isinstance(net, Generator):
             raise ContractViolation("checkpoint does not contain a generator")
-        return net, net.latent_dim, True
+        return net
     if cfg.get("fn"):
-        fn = get_function(cfg["fn"], dim=cfg.get("dim"), beta=cfg.get("beta", 1.0),
-                          seed=cfg.get("fn-seed", 0))
-        return fn, fn.input_dim, False
+        return get_function(cfg["fn"], dim=cfg.get("dim"), beta=cfg.get("beta", 1.0),
+                            seed=cfg.get("fn-seed", 0))
     raise ContractViolation("one of --fn or --checkpoint is required")
 
 
@@ -289,10 +288,10 @@ def _resolve_taps(spec: str, auto: tuple[str, ...]) -> tuple[str, ...]:
 
 def _cmd_estimate(cfg: dict, out: str) -> int:
     repeat = _at_least(cfg, "repeat", 0)
-    fn, dim, is_gen = _load_function(cfg)
-    z = _parse_point(cfg.get("z"), dim)
+    fn = _load_function(cfg)
+    z = _parse_point(cfg.get("z"), fn.input_dim)
     pconf = PenaltyConfig(epsilon=cfg["eps"], k=cfg["k"], reduction=cfg["reduction"],
-                          taps=_resolve_taps(cfg["taps"], fn.default_taps if is_gen else ()),
+                          taps=_resolve_taps(cfg["taps"], getattr(fn, "default_taps", ())),
                           seed=cfg["seed"])
     # values only: a record of the forwards would keep every block's activations alive
     with no_grad():
@@ -324,9 +323,8 @@ def _estimate_report(fn, z: np.ndarray, pconf: PenaltyConfig, repeat: int, seed:
             batch = np.broadcast_to(z, (rows, z.size))  # stride 0: one point, no copy
             trials.append(hessian_penalty_estimate(fn, batch, pconf, rng=rng).per_sample)
         trials = np.concatenate(trials)
-        se = float(trials.std(ddof=1) / np.sqrt(trials.size)) if trials.size > 1 else 0.0
-        report["repeat"] = {"trials": int(trials.size), "mean": float(trials.mean()),
-                            "std_error": se}
+        mean, se = _mean_se(trials)
+        report["repeat"] = {"trials": int(trials.size), "mean": mean, "std_error": se}
     return report
 
 
@@ -341,6 +339,11 @@ def _parse_dims(text: str) -> list[int]:
     return dims
 
 
+def _random_symmetric(rng, n: int) -> np.ndarray:
+    raw = rng.normal(size=(n, n))
+    return (raw + raw.T) / 2.0
+
+
 def _cmd_verify(cfg: dict, out: str) -> int:
     rng = np.random.default_rng(np.random.SeedSequence(cfg["seed"]))
     dims = _parse_dims(cfg["dims"])
@@ -351,8 +354,7 @@ def _cmd_verify(cfg: dict, out: str) -> int:
     identity_trials = []
     for t in range(cfg["trials"]):
         n = dims[t % len(dims)]
-        raw = rng.normal(size=(n, n))
-        h = (raw + raw.T) / 2.0
+        h = _random_symmetric(rng, n)
         enumerated = enumerate_variance(h)
         target = 2.0 * exact_offdiag_penalty(h)
         rel = abs(enumerated - target) / abs(target)
@@ -365,18 +367,18 @@ def _cmd_verify(cfg: dict, out: str) -> int:
     mc_ok = True
     pconf = PenaltyConfig(epsilon=cfg["eps"], k=2, reduction="max")
     for _ in range(cfg["mc-matrices"]):
-        raw = rng.normal(size=(cfg["mc-dim"], cfg["mc-dim"]))
-        h = (raw + raw.T) / 2.0
+        h = _random_symmetric(rng, cfg["mc-dim"])
         target = enumerate_variance(h)
         fn = QuadraticForm(h)
         zeros = np.broadcast_to(np.zeros(cfg["mc-dim"]), (cfg["mc-trials"], cfg["mc-dim"]))
         with no_grad():  # values only, as in estimate
             trials = hessian_penalty_estimate(fn, zeros, pconf, rng=rng).per_sample
-        se = float(trials.std(ddof=1) / np.sqrt(trials.size))
-        zscore = abs(float(trials.mean()) - target) / se
-        ok = zscore <= 3.0
+        mean, se = _mean_se(trials)
+        # equal trials have no spread to score against: only an exact match passes
+        zscore = abs(mean - target) / se if se else None
+        ok = zscore <= 3.0 if se else mean == target
         mc_ok = mc_ok and ok
-        mc.append({"enumerated": target, "mean": float(trials.mean()), "std_error": se,
+        mc.append({"enumerated": target, "mean": mean, "std_error": se,
                    "z_score": zscore, "within_3_se": ok})
 
     passed = identity_ok and mc_ok
@@ -440,8 +442,8 @@ def _cmd_train(cfg: dict, out: str) -> int:
 
 
 def _cmd_directions(cfg: dict, out: str) -> int:
-    fn, dim, _is_gen = _load_function(cfg)
-    n_directions = dim if cfg["directions"] is None else cfg["directions"]
+    fn = _load_function(cfg)
+    n_directions = fn.input_dim if cfg["directions"] is None else cfg["directions"]
     pconf = PenaltyConfig(epsilon=cfg["eps"], k=cfg["k"], reduction="mean")
     matrix, log = discover_directions(
         fn, n_directions, cfg["steps"], seed=cfg["seed"], learning_rate=cfg["lr"],
@@ -465,8 +467,8 @@ def _cmd_directions(cfg: dict, out: str) -> int:
 def _cmd_eval(cfg: dict, out: str) -> int:
     n_points = _at_least(cfg, "hess-samples", 1)
     pconf = PPLConfig(alpha=cfg["alpha"], samples=cfg["ppl-samples"])
-    fn, dim, _is_gen = _load_function(cfg)
-    seed = cfg["seed"]
+    fn = _load_function(cfg)
+    dim, seed = fn.input_dim, cfg["seed"]
     # the Hessians go first, so an unusable --hess-eps fails before the sweeps run
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     zs = rng.normal(size=(n_points, dim))
@@ -492,12 +494,12 @@ def _cmd_eval(cfg: dict, out: str) -> int:
 
 
 def _cmd_hessdump(cfg: dict, out: str) -> int:
-    fn, dim, _is_gen = _load_function(cfg)
+    fn = _load_function(cfg)
     if cfg.get("z") is not None:
-        zs = _parse_point(cfg["z"], dim)[None, :]
+        zs = _parse_point(cfg["z"], fn.input_dim)[None, :]
     else:
         rng = np.random.default_rng(np.random.SeedSequence(cfg["seed"]))
-        zs = rng.normal(size=(_at_least(cfg, "samples", 1), dim))
+        zs = rng.normal(size=(_at_least(cfg, "samples", 1), fn.input_dim))
     sets = hessian_sets_for(fn, zs, cfg["eps"])
     diag = diagonality_metrics(sets)
     index = export_hessian_heatmaps(sets, os.path.join(out, "heatmaps"), top=cfg.get("top"))
@@ -553,6 +555,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory ({exc})", file=sys.stderr)
         return 1
     except SystemExit as exc:  # argparse --version/--help
         return int(exc.code or 0)

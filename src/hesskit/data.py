@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -83,10 +83,6 @@ class FactorSpec:
     def factor_count(self) -> int:
         return len(self.factors)
 
-    @property
-    def observation_dim(self) -> int:
-        return self.side * self.side * self.channels
-
     def resolve(self, factors) -> list[dict[str, float]]:
         """Split a factor vector into per-object attribute dicts, checking ranges."""
         factors = np.asarray(factors, dtype=np.float64).reshape(-1)
@@ -114,17 +110,7 @@ class FactorSpec:
         return (factors - lo) / (hi - lo) * 2.0 - 1.0
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "factors": [
-                {"name": f.name, "low": f.low, "high": f.high, "semantic": f.semantic}
-                for f in self.factors
-            ],
-            "fixed": [[n, v] for n, v in self.fixed],
-            "objects": self.objects,
-            "side": self.side,
-            "channels": self.channels,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "FactorSpec":

@@ -29,22 +29,7 @@ def as_batch(z, dim: int) -> tuple[ad.Tensor, bool]:
     raise ContractViolation(f"latent must be 1-D or 2-D, got shape {t.shape}")
 
 
-class AnalyticFunction:
-    """Base: callable batch evaluator plus analytic Hessians."""
-
-    name = "analytic"
-    input_dim: int
-    output_dim: int
-
-    def __call__(self, z) -> ad.Tensor:
-        raise NotImplementedError
-
-    def hessians(self, z: np.ndarray) -> np.ndarray:
-        """Analytic Hessians at a single point, shape (output_dim, n, n)."""
-        raise NotImplementedError
-
-
-class QuadraticForm(AnalyticFunction):
+class QuadraticForm:
     """G(z) = 0.5 * z^T H z for a fixed symmetric H; the Hessian is exactly H."""
 
     name = "quadratic"
@@ -67,7 +52,7 @@ class QuadraticForm(AnalyticFunction):
         return self.matrix[None, :, :]
 
 
-class SeparablePolynomial(AnalyticFunction):
+class SeparablePolynomial:
     """Scalar G(z) = sum_i a_i z_i^3 + b_i z_i^2 + c_i z_i; off-diagonal Hessian is zero."""
 
     name = "separable-cubic"
@@ -98,7 +83,7 @@ class SeparablePolynomial(AnalyticFunction):
         return np.diag(6.0 * self.a * z + 2.0 * self.b)[None, :, :]
 
 
-class ScaledCubic(AnalyticFunction):
+class ScaledCubic(SeparablePolynomial):
     """G(z) = beta * sum_i z_i^3: zero off-diagonal curvature at any scale.
 
     The one-parameter family behind the smoothness counterexample: the
@@ -114,15 +99,7 @@ class ScaledCubic(AnalyticFunction):
         if not np.isfinite(beta):
             raise ContractViolation(f"beta must be finite, got {beta}")
         self.beta = float(beta)
-        self.input_dim = dim
-        self.output_dim = 1
-        self._inner = SeparablePolynomial(np.full(dim, self.beta))
-
-    def __call__(self, z) -> ad.Tensor:
-        return self._inner(z)
-
-    def hessians(self, z) -> np.ndarray:
-        return self._inner.hessians(z)
+        super().__init__(np.full(dim, self.beta))
 
 
 def _rotation(dim: int, seed: int) -> np.ndarray:
@@ -134,7 +111,7 @@ def _rotation(dim: int, seed: int) -> np.ndarray:
     return q
 
 
-class RotatedSeparable(AnalyticFunction):
+class RotatedSeparable:
     """G(z)_j = u_j^3 with u_j = (column j of R) . z for a seeded rotation R.
 
     Separable in the rotated coordinates, entangled in z: the Hessian of

@@ -34,6 +34,12 @@ from .penalty import forward_values, row_blocks
 _PARALLEL_EPS = 1e-6
 
 
+def _mean_se(trials: np.ndarray) -> tuple[float, float]:
+    """Mean of ``trials`` and its standard error (0 for a single trial)."""
+    se = float(trials.std(ddof=1) / np.sqrt(trials.size)) if trials.size > 1 else 0.0
+    return float(trials.mean()), se
+
+
 @dataclass(frozen=True)
 class PPLConfig:
     """Path-length settings: step size and sample count."""
@@ -173,7 +179,6 @@ def ppl(fn, dim: int, config: PPLConfig = PPLConfig(), seed: int = 0) -> PPLResu
         out = out.reshape((-1, 2) + out.shape[1:])
         d[i:i + len(out)] = np.sum((out[:, 0] - out[:, 1]) ** 2, axis=1)
     d /= config.alpha * config.alpha
-    n = d.size
-    se = float(d.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    return PPLResult(value=float(d.mean()), std_error=se, samples=n,
-                     skipped=skipped, alpha=config.alpha)
+    mean, se = _mean_se(d)
+    return PPLResult(value=mean, std_error=se, samples=d.size, skipped=skipped,
+                     alpha=config.alpha)

@@ -21,6 +21,7 @@ from its stored array: it draws no weights only to overwrite them.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -80,10 +81,33 @@ def default_taps(hidden_layers: int) -> tuple[str, ...]:
     return names[:-1] if hidden_layers > 1 else names
 
 
-class Generator:
+class _Net:
+    """What both nets share: widths, seed, the affine layers, their parameters and ``arch()``."""
+
+    kind: str
+    _ARCH: tuple[str, ...]  # the constructor arguments a checkpoint records
+
+    def __init__(self, n_in, n_out, hidden_width, hidden_layers, seed, stored):
+        if n_in < 1 or n_out < 1 or hidden_width < 1 or hidden_layers < 0:
+            raise ContractViolation(f"{self.kind} dimensions must be positive")
+        self.hidden_width = int(hidden_width)
+        self.hidden_layers = int(hidden_layers)
+        self.seed = int(seed)
+        self._hidden, self._head = _affine_layers(
+            int(n_in), self.hidden_width, self.hidden_layers, int(n_out), seed, stored)
+
+    def parameters(self) -> list[ad.Parameter]:
+        return [p for layer in (*self._hidden, self._head) for p in layer]
+
+    def arch(self) -> dict:
+        return {name: getattr(self, name) for name in self._ARCH}
+
+
+class Generator(_Net):
     """Latent-to-observation MLP: (affine, feature-normalize, tanh) x L, affine head."""
 
     kind = "generator"
+    _ARCH = ("latent_dim", "output_dim", "hidden_width", "hidden_layers", "seed")
 
     def __init__(
         self,
@@ -94,15 +118,9 @@ class Generator:
         seed: int = 0,
         *, _stored=None,
     ):
-        if latent_dim < 1 or output_dim < 1 or hidden_width < 1 or hidden_layers < 0:
-            raise ContractViolation("generator dimensions must be positive")
+        super().__init__(latent_dim, output_dim, hidden_width, hidden_layers, seed, _stored)
         self.latent_dim = int(latent_dim)
         self.output_dim = int(output_dim)
-        self.hidden_width = int(hidden_width)
-        self.hidden_layers = int(hidden_layers)
-        self.seed = int(seed)
-        self._hidden, self._head = _affine_layers(
-            self.latent_dim, self.hidden_width, self.hidden_layers, self.output_dim, seed, _stored)
 
     @property
     def input_dim(self) -> int:
@@ -116,9 +134,6 @@ class Generator:
     def default_taps(self) -> tuple[str, ...]:
         """All normalization taps except the final hidden layer's."""
         return default_taps(self.hidden_layers)
-
-    def parameters(self) -> list[ad.Parameter]:
-        return [p for layer in (*self._hidden, self._head) for p in layer]
 
     def _depth(self, taps) -> int:
         """Blocks a call must run to produce ``taps``; ``hidden_layers + 1`` includes the head."""
@@ -153,20 +168,12 @@ class Generator:
             h = ad.tanh(h)
         return ad.matmul(h, self._head[0]) + self._head[1], found
 
-    def arch(self) -> dict:
-        return {
-            "latent_dim": self.latent_dim,
-            "output_dim": self.output_dim,
-            "hidden_width": self.hidden_width,
-            "hidden_layers": self.hidden_layers,
-            "seed": self.seed,
-        }
 
-
-class Discriminator:
+class Discriminator(_Net):
     """Observation-to-logit MLP: (affine, leaky-rectifier) x L, affine head."""
 
     kind = "discriminator"
+    _ARCH = ("input_dim", "hidden_width", "hidden_layers", "seed")
 
     def __init__(
         self,
@@ -176,17 +183,8 @@ class Discriminator:
         seed: int = 0,
         *, _stored=None,
     ):
-        if input_dim < 1 or hidden_width < 1 or hidden_layers < 0:
-            raise ContractViolation("discriminator dimensions must be positive")
+        super().__init__(input_dim, 1, hidden_width, hidden_layers, seed, _stored)
         self.input_dim = int(input_dim)
-        self.hidden_width = int(hidden_width)
-        self.hidden_layers = int(hidden_layers)
-        self.seed = int(seed)
-        self._hidden, self._head = _affine_layers(
-            self.input_dim, self.hidden_width, self.hidden_layers, 1, seed, _stored)
-
-    def parameters(self) -> list[ad.Parameter]:
-        return [p for layer in (*self._hidden, self._head) for p in layer]
 
     def __call__(self, x) -> ad.Tensor:
         h, _ = as_batch(x, self.input_dim)
@@ -194,18 +192,19 @@ class Discriminator:
             h = ad.leaky_relu(ad.matmul(h, w) + b)
         return ad.matmul(h, self._head[0]) + self._head[1]
 
-    def arch(self) -> dict:
-        return {
-            "input_dim": self.input_dim,
-            "hidden_width": self.hidden_width,
-            "hidden_layers": self.hidden_layers,
-            "seed": self.seed,
-        }
 
-
-def set_trainable(net, flag: bool) -> None:
-    for p in net.parameters():
-        p.requires_grad = bool(flag)
+@contextlib.contextmanager
+def frozen(fn):
+    """Freeze the parameters of ``fn``, if it has any; restore each one's flag on exit."""
+    params = fn.parameters() if hasattr(fn, "parameters") else []
+    flags = [p.requires_grad for p in params]
+    for p in params:
+        p.requires_grad = False
+    try:
+        yield
+    finally:
+        for p, flag in zip(params, flags):
+            p.requires_grad = flag
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ import numpy as np
 from . import autodiff as ad
 from .data import Dataset, dataset_spec, sample_dataset
 from .errors import ContractViolation, DegeneracyError, NumericError
-from .nets import Discriminator, Generator, set_trainable
+from .nets import Discriminator, Generator, frozen
 from .penalty import PenaltyConfig, hessian_penalty_estimate
 
 MODES = ("gan", "reconstruction", "baseline")
@@ -231,10 +231,16 @@ class Trainer:
             self._latents = dataset.latents(config.latent_dim)
         self.log = TrainLog()
 
-    def _penalty(self, z: np.ndarray, lam_t: float):
+    def _update_generator(self, loss: ad.Tensor, z: np.ndarray, lam_t: float):
+        """One generator step on ``loss + lam_t * penalty`` at ``z``; returns the penalty,
+        which at ``lam_t = 0`` is drawn off the record and left out of the loss."""
         with contextlib.nullcontext() if lam_t else ad.no_grad():
-            return hessian_penalty_estimate(self.generator, z, self.penalty_config,
-                                            rng=self._probe_rng)
+            penalty = hessian_penalty_estimate(self.generator, z, self.penalty_config,
+                                               rng=self._probe_rng)
+        self.opt_g.zero_grad()
+        ad.backward(loss + penalty.scalar * lam_t if lam_t else loss)
+        self.opt_g.step()
+        return penalty
 
     def gan_step(self, real_batch: np.ndarray, t: int) -> dict:
         """Discriminator update on the unchanged adversarial objective, then
@@ -252,17 +258,10 @@ class Trainer:
         self.opt_d.step()
 
         z_g = self._batch_rng.normal(size=(real_batch.shape[0], cfg.latent_dim))
-        set_trainable(d, False)  # gradients flow through D into G, not into D
-        try:
+        with frozen(d):  # gradients flow through D into G, not into D
             out, _ = g(z_g)
             adv = ad.softplus(-d(out)).mean()
-            penalty = self._penalty(z_g, lam_t)
-            g_loss = adv + penalty.scalar * lam_t if lam_t else adv
-            self.opt_g.zero_grad()
-            ad.backward(g_loss)
-            self.opt_g.step()
-        finally:
-            set_trainable(d, True)
+            penalty = self._update_generator(adv, z_g, lam_t)
 
         return {
             "step": t,
@@ -281,11 +280,7 @@ class Trainer:
         target = self.dataset.observations[batch_idx]
         out, _ = self.generator(z)
         recon = ad.square(out - target).mean()
-        penalty = self._penalty(z, lam_t)
-        loss = recon + penalty.scalar * lam_t if lam_t else recon
-        self.opt_g.zero_grad()
-        ad.backward(loss)
-        self.opt_g.step()
+        penalty = self._update_generator(recon, z, lam_t)
         return {
             "step": t,
             "recon_loss": recon.item(),
@@ -418,12 +413,7 @@ def discover_directions(
     opt = Adam([directions], learning_rate, 0.9, 0.999, eps=1e-6)
     log = TrainLog()
 
-    frozen = hasattr(fn, "parameters")
-    saved_flags = []
-    if frozen:
-        saved_flags = [p.requires_grad for p in fn.parameters()]
-        set_trainable(fn, False)
-    try:
+    with frozen(fn):
         for t in range(steps):
             directions.assign(gram_schmidt(directions.values))
             residual = DirectionMatrix(directions.values).ortho_residual()
@@ -449,10 +439,6 @@ def discover_directions(
                 "ortho_residual": residual,
                 "wall_clock": time.time(),
             })
-    finally:
-        if frozen:
-            for p, flag in zip(fn.parameters(), saved_flags):
-                p.requires_grad = flag
     return DirectionMatrix(gram_schmidt(directions.values)), log
 
 

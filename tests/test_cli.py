@@ -75,6 +75,30 @@ def test_verify_passes(tmp_path):
     assert report["identity"]["max_rel_error"] <= 1e-10
 
 
+def test_verify_with_equal_trials_fails_without_a_traceback(tmp_path, capsys):
+    # two trials in dimension 2 are often equal, so a matrix's standard error can be 0
+    out = str(tmp_path / "ver")
+    code = main(["verify", "--dims", "2..3", "--trials", "2", "--mc-dim", "2",
+                 "--mc-trials", "2", "--mc-matrices", "5", "--out", out])
+    assert code == 1
+    mc = read_json(os.path.join(out, "reports", "verify.json"))["unbiasedness"]
+    flat = [m for m in mc["matrices"] if m["std_error"] == 0.0]
+    assert flat
+    for m in flat:
+        assert m["z_score"] is None and m["within_3_se"] is (m["mean"] == m["enumerated"])
+    assert not mc["passed"]
+    assert "unbiasedness: FAIL" in capsys.readouterr().out
+
+
+def test_out_of_memory_exits_one_with_a_message(tmp_path, monkeypatch, capsys):
+    def exhausted(cfg, out):
+        raise MemoryError("Unable to allocate 11.9 GiB for an array")
+
+    monkeypatch.setitem(cli._HANDLERS, "eval", exhausted)
+    assert main(["eval", "--fn", "z1z2", "--out", str(tmp_path / "x")]) == 1
+    assert "error: out of memory (Unable to allocate 11.9 GiB" in capsys.readouterr().err
+
+
 def test_train_zero_steps_keeps_init(tmp_path):
     out = str(tmp_path / "tr")
     assert main(["train", "--mode", "baseline", "--steps", "0", "--dataset", "1fov",

@@ -5,7 +5,7 @@ import pytest
 
 from hesskit import autodiff as ad
 from hesskit import nets
-from hesskit.errors import ContractViolation
+from hesskit.errors import ContractViolation, NumericError
 from hesskit.nets import Discriminator, Generator, load_checkpoint, save_checkpoint
 from hesskit.penalty import PenaltyConfig, hessian_penalty_estimate
 
@@ -91,6 +91,18 @@ def test_discriminator_gradient_check():
 
     report = ad.gradient_check(loss_fn, d.parameters(), step=1e-5, tolerance=1e-4)
     assert report.passed
+
+
+def test_frozen_restores_each_flag_when_its_block_raises():
+    d = Discriminator(input_dim=4, hidden_width=3, hidden_layers=1, seed=0)
+    params = d.parameters()
+    params[0].requires_grad = False
+    before = [p.requires_grad for p in params]
+    with pytest.raises(NumericError):
+        with nets.frozen(d):
+            assert not any(p.requires_grad for p in params)
+            raise NumericError("non-finite result")
+    assert [p.requires_grad for p in params] == before
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):

@@ -181,6 +181,17 @@ class TestTrainerDeterminism:
             for p, g in zip(d_params, left):
                 assert np.array_equal(p.grad, g), p.name
 
+    def test_gan_step_keeps_a_discriminator_flag_the_caller_froze(self):
+        from hesskit.training import Trainer
+
+        trainer = Trainer(TrainConfig(mode="gan", dataset="1fov", latent_dim=2, steps=0,
+                                      batch_size=8, dataset_size=64, seed=2))
+        params = trainer.discriminator.parameters()
+        head = next(p for p in params if p.name == "head.weight")
+        head.requires_grad = False
+        trainer.gan_step(trainer.dataset.observations[:8], 0)
+        assert [p.requires_grad for p in params] == [p is not head for p in params]
+
     @pytest.mark.parametrize("mode", ["reconstruction", "gan"])
     def test_zero_weight_steps_evaluate_the_penalty_off_the_record(self, monkeypatch, mode):
         from hesskit import training
