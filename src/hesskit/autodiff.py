@@ -379,10 +379,12 @@ def _probe_variance(sums: np.ndarray, reduction: str, out: np.ndarray, keep: boo
     np.sum(np.square(sums, out=None if keep else sums), axis=0, out=out)
     if k > 2:  # a division by 1 is exact
         out /= k - 1
-    if reduction == "max" and out.shape[-1] > 1:  # faster than max over short rows
+    if out.shape[-1] == 1:  # the max or mean of one component is that component: no copy
+        reduced = out[:, 0]
+    elif reduction == "max":  # faster than max over short rows
         reduced = out[np.arange(len(out)), out.argmax(axis=-1)]
     else:
-        reduced = out.max(axis=-1) if reduction == "max" else out.mean(axis=-1)
+        reduced = out.mean(axis=-1)
     if not np.isfinite(reduced).all():  # a NaN or inf variance reaches its row's max or mean
         raise NumericError("non-finite result in op 'probe_variance'")
     return reduced

@@ -321,7 +321,8 @@ def _estimate_report(fn, z: np.ndarray, pconf: PenaltyConfig, repeat: int, seed:
         for start in range(0, repeat, chunk):
             rows = min(chunk, repeat - start)
             batch = np.broadcast_to(z, (rows, z.size))  # stride 0: one point, no copy
-            trials.append(hessian_penalty_estimate(fn, batch, pconf, rng=rng).per_sample)
+            trials.append(hessian_penalty_estimate(fn, batch, pconf, rng=rng,
+                                                  components=False).per_sample)
         trials = np.concatenate(trials)
         mean, se = _mean_se(trials)
         report["repeat"] = {"trials": int(trials.size), "mean": mean, "std_error": se}
@@ -372,7 +373,8 @@ def _cmd_verify(cfg: dict, out: str) -> int:
         fn = QuadraticForm(h)
         zeros = np.broadcast_to(np.zeros(cfg["mc-dim"]), (cfg["mc-trials"], cfg["mc-dim"]))
         with no_grad():  # values only, as in estimate
-            trials = hessian_penalty_estimate(fn, zeros, pconf, rng=rng).per_sample
+            trials = hessian_penalty_estimate(fn, zeros, pconf, rng=rng,
+                                              components=False).per_sample
         mean, se = _mean_se(trials)
         # equal trials have no spread to score against: only an exact match passes
         zscore = abs(mean - target) / se if se else None

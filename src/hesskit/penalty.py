@@ -23,18 +23,21 @@ sizes every stacked forward of the toolkit, runs a batch of more than
 ``_WHOLE_ROWS`` stacked rows (never a training step) in blocks whose
 widest array holds at most ``_BLOCK_VALUES`` float64 values, so an
 off-record caller (``estimate``, ``verify``) holds one block's activations
-at a time. Probe bits are drawn for the whole batch at once, as int32 (the
-values and stream of the default int64 draw in half the bytes), and each block
-turns only its own into signs. A row's results do not depend on blocking
-where BLAS rounds a row the same for any row count (not so for some narrow
-products, nor for a one-row call). Otherwise a row's entries agree within
+at a time. Probe bits are the top bits of raw PCG64 words (``_top_bits``: the
+values and stream of the default int64 draw, without numpy's per-value loop),
+drawn for the whole batch at once, and each block turns only its own into
+signs. A row's results do not depend on blocking where BLAS rounds a row the
+same for any row count (not so for some narrow products, nor for a one-row
+call). Otherwise a row's entries agree within
 2.4e-14 of its largest entry and the value within 2e-16 relative, as measured;
 a single entry whose variance nearly cancels can differ by 5.9e-11 relative.
 Off the record, a call whose rows all repeat one point (a stride-0 batch does
 without a look at its rows) and that draws more probes than the 2^n sign vectors
 tabulates the stencil sums of each sign vector once, in row blocks, and each draw
-reads its row of that (2^n, m) table; the draws, blocks and tail are those of the
-full path (a recorded call keeps one path to the parameters per draw).
+reads its row of that (2^n, m) table. There the bits are streamed a chunk at a time
+into each draw's int32 code (``_draw_codes``), so the (k, N, n) bits are never held;
+the draws, blocks and tail are those of the full path (a recorded call keeps one path
+to the parameters per draw).
 Each block's tail is one kernel per tap (``autodiff.probe_variance``, one recorded
 op) that writes its variances into ``per_component``, allocated once per call.
 
@@ -102,9 +105,10 @@ class PenaltyValue:
     """Estimator output: differentiable scalar plus pre-reduction detail.
 
     ``per_component`` maps tap name (or "output") to the (B, m) probe
-    variances before reduction; ``per_sample`` holds the per-row reduced
-    values averaged over taps, so a batched call doubles as a set of
-    independent trials. ``config`` is the configuration it was computed with.
+    variances before reduction (empty for a call with ``components`` false);
+    ``per_sample`` holds the per-row reduced values averaged over taps, so a
+    batched call doubles as a set of independent trials. ``config`` is the
+    configuration it was computed with.
     """
 
     scalar: ad.Tensor
@@ -270,6 +274,51 @@ def second_directional_fd(fn, z, v, epsilon: float, taps: tuple[str, ...] | None
     return {name: diff(rows) for name, rows in stencil.items()}
 
 
+def _top_bits(rng, count: int) -> np.ndarray:
+    """The values of ``rng.integers(0, 2, count, dtype=np.int32)``, leaving ``rng`` as it does.
+
+    That draw takes one ``next_uint32`` per value, rejects none and keeps its top bit. PCG64
+    hands out each 64-bit word low half first and buffers the high half (``has_uint32``), so
+    the same bits are the top bits of a buffered half, then of the halves of raw words; an
+    odd remainder leaves the last high half buffered. Other bit generators draw as numpy does.
+    """
+    bg = rng.bit_generator
+    if type(bg) is not np.random.PCG64 or not np.little_endian:
+        return rng.integers(0, 2, count, dtype=np.int32)
+    buffered = bg.state
+    head = min(buffered["has_uint32"], count)
+    halves = bg.random_raw((count - head + 1) // 2).view(np.uint32)
+    odd = halves.size > count - head  # numpy keeps the last high half for the next draw
+    if head or odd:  # the buffer changed: random_raw leaves it as it was
+        state = bg.state
+        state["has_uint32"] = int(odd)
+        if odd:
+            state["uinteger"] = int(halves[-1])
+        bg.state = state
+    bits = np.right_shift(halves, 31, out=halves)[:count - head].view(np.int32)
+    if head:
+        return np.concatenate(([buffered["uinteger"] >> 31], bits), dtype=np.int32)
+    return bits
+
+
+def _codes(bits: np.ndarray) -> np.ndarray:
+    """Sign-vector codes ``sum_j bits[..., j] 2^j`` as int32, from one float32 product: exact,
+    because every partial sum is an integer below 2^24 while there are at most 24 bits."""
+    weights = (1 << np.arange(bits.shape[-1])).astype(np.float32)
+    return (bits.astype(np.float32) @ weights).astype(np.int32)
+
+
+def _draw_codes(rng, draws: int, n: int) -> np.ndarray:
+    """The codes of ``draws`` rows of ``n`` bits from ``_top_bits(rng, draws * n)``, drawn a
+    chunk of about ``_BLOCK_VALUES`` bits at a time, so the bits are never held at once."""
+    codes = np.empty(draws, dtype=np.int32)
+    step = max(1, _BLOCK_VALUES // n)
+    for lo in range(0, draws, step):
+        hi = min(lo + step, draws)
+        codes[lo:hi] = _codes(_top_bits(rng, (hi - lo) * n).reshape(-1, n))
+    return codes
+
+
 def _row_mean(blocks: list, n_rows: int):
     """Mean over all rows of per-row values that arrive in blocks (Tensors or arrays)."""
     if len(blocks) == 1:
@@ -277,7 +326,8 @@ def _row_mean(blocks: list, n_rows: int):
     return sum((block.sum() for block in blocks[1:]), blocks[0].sum()) * (1.0 / n_rows)
 
 
-def hessian_penalty_estimate(fn, z, config: PenaltyConfig, rng=None, probes=None) -> PenaltyValue:
+def hessian_penalty_estimate(fn, z, config: PenaltyConfig, rng=None, probes=None,
+                             components: bool = True) -> PenaltyValue:
     """Unbiased stochastic estimate of the off-diagonal Hessian penalty.
 
     Evaluates ``fn`` once per ``row_blocks`` block of latent rows, on the 2k
@@ -291,15 +341,25 @@ def hessian_penalty_estimate(fn, z, config: PenaltyConfig, rng=None, probes=None
 
     ``probes`` may inject an explicit (k, dim) or (k, B, dim) array of
     +-1 vectors (used by oracle-consistency tests); otherwise they are
-    drawn from ``rng`` or deterministically from ``config.seed``.
+    drawn from ``rng`` or deterministically from ``config.seed``. With ``components``
+    false, ``per_component`` stays empty and each block's variances go to scratch, for
+    callers that read only ``per_sample`` (a large call allocates no (B, m) arrays).
     """
     zarr, _ = _prepare_latents(z)
     n_rows, dim = zarr.shape
     eps = config.epsilon
+    # one point, more draws than sign vectors: tabulate every sign vector's sums once and
+    # give each draw its row by code (int32 is wide enough: 2^n < k*N draws fit in memory;
+    # the float32 code product of _codes is exact while its sums stay below 2^24: n <= 24)
+    tabulated = (not ad.grad_enabled() and 2 ** dim < config.k * n_rows and dim <= 24
+                 and (zarr.strides[0] == 0 or (zarr == zarr[0]).all()))
 
     if probes is None:
         rng = np.random.default_rng(config.seed) if rng is None else rng
-        bits = rng.integers(0, 2, size=(config.k, n_rows, dim), dtype=np.int32)
+        if tabulated:
+            codes = _draw_codes(rng, config.k * n_rows, dim).reshape(config.k, n_rows)
+        else:
+            bits = _top_bits(rng, config.k * n_rows * dim).reshape(config.k, n_rows, dim)
     else:
         probes = np.asarray(probes, dtype=np.float64)
         if probes.ndim == 2 and probes.shape[1] == dim:
@@ -311,16 +371,14 @@ def hessian_penalty_estimate(fn, z, config: PenaltyConfig, rng=None, probes=None
         if not np.all(np.abs(probes) == 1.0):
             raise ContractViolation("probes must contain only +1 or -1 entries")
         bits = probes > 0
+        if tabulated:
+            codes = _codes(bits)
 
     # scale before the variance: 1/e^4 after it would overflow for small e
     inv = 1.0 / (eps * eps)
 
     table = None
-    if (not ad.grad_enabled() and 2 ** dim < config.k * n_rows
-            and (zarr.strides[0] == 0 or (zarr == zarr[0]).all())):
-        # one point, more draws than sign vectors: tabulate every sign vector's sums once;
-        # a draw's code is its row (int32 is wide enough: 2^n < k*N draws fit in memory)
-        codes = bits @ (1 << np.arange(dim, dtype=np.int32))  # (k, N)
+    if tabulated:
         signs = ((np.arange(2 ** dim)[:, None, None] >> np.arange(dim)) & 1) * 2.0 - 1.0
 
         def tabulate(lo, hi):  # units of 2 rows: the +e and -e stencil of one sign vector
@@ -344,9 +402,9 @@ def hessian_penalty_estimate(fn, z, config: PenaltyConfig, rng=None, probes=None
                                            config.taps, centre=False)
         for name in config.taps:
             rows = stencil[name] if table is None else table[name][codes[:, lo:hi]]
-            if name not in per_component:  # the first block shows the tap's width
+            if components and name not in per_component:  # the first block shows its width
                 per_component[name] = np.empty((n_rows, rows.shape[-1]))
-            out = per_component[name][lo:hi]
+            out = per_component[name][lo:hi] if components else np.empty((hi - lo, rows.shape[-1]))
             # the tail's centring removes the 2 G(z)/e^2 the sums keep without a centre pass
             part = (ad.probe_variance(rows, inv, config.reduction, out) if table is None
                     else ad._probe_variance(rows, config.reduction, out))

@@ -606,6 +606,28 @@ class TestDistinctProbes:
         assert_same_value(*values)
 
     @pytest.mark.parametrize("recorded", [False, True])
+    @pytest.mark.parametrize("case", ["generator-norms", "quadratic"])
+    def test_call_without_components_gives_the_same_samples(self, case, recorded):
+        make, taps, n = self.functions[case]
+        z = np.broadcast_to(np.random.default_rng(2).normal(size=n), (300, n))
+        config = PenaltyConfig(k=3, taps=taps)
+        values, grads = [], []
+        for components in (True, False):
+            fn = make()
+            with contextlib.nullcontext() if recorded else ad.no_grad():
+                values.append(hessian_penalty_estimate(fn, z, config, rng=np.random.default_rng(6),
+                                                       components=components))
+            if recorded:
+                ad.backward(values[-1].scalar)
+                grads.append([p.grad.copy() for p in getattr(fn, "parameters", list)()])
+        full, bare = values
+        assert bare.per_component == {} and set(full.per_component) == set(config.taps)
+        assert np.array_equal(bare.per_sample, full.per_sample)
+        assert bare.value == full.value
+        for got, expected in zip(*grads):
+            assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("recorded", [False, True])
     def test_stride_zero_batch_with_nan_is_rejected(self, recorded):
         z = np.broadcast_to(np.array([0.0, np.nan]), (50, 2))
         with contextlib.nullcontext() if recorded else ad.no_grad():
@@ -629,24 +651,120 @@ class TestDistinctProbes:
         z = np.random.default_rng(3).normal(size=(40, 6))
         fn, config = Generator(6, 768, 64, 3), PenaltyConfig(k=3, taps=("norm1", "output"))
         rng, reference = np.random.default_rng(11), np.random.default_rng(11)
+        for gen in (rng, reference):  # an odd int32 draw leaves a high half buffered
+            gen.integers(0, 2, 3, dtype=np.int32)
         drawn = hessian_penalty_estimate(fn, z, config, rng=rng)
         signs = reference.integers(0, 2, size=(3, 40, 6)) * 2.0 - 1.0
         injected = hessian_penalty_estimate(fn, z, config, probes=signs)
         assert np.array_equal(drawn.per_sample, injected.per_sample)
         assert drawn.value == injected.value
-        assert rng.integers(0, 2**62) == reference.integers(0, 2**62)
+        assert_same_stream_ahead(rng, reference)
 
     def test_caller_rng_advances_as_on_the_full_path(self):
         z, config = repeated_point(6, 300), PenaltyConfig(k=3, taps=("norm1",))
         g = Generator(6, 768, 64, 3)
+        rng, recorded, reference = (np.random.default_rng(9) for _ in range(3))
+        for gen in (rng, recorded, reference):  # an odd int32 draw leaves a high half buffered
+            gen.integers(0, 2, 3, dtype=np.int32)
         with ad.no_grad():
-            rng = np.random.default_rng(9)
             hessian_penalty_estimate(g, z, config, rng=rng)
-        recorded = np.random.default_rng(9)
         hessian_penalty_estimate(g, z, config, rng=recorded)
-        reference = np.random.default_rng(9)
         reference.integers(0, 2, size=(3, 300, 6))  # the one draw of the probe bits
-        assert rng.integers(0, 2**62) == recorded.integers(0, 2**62) == reference.integers(0, 2**62)
+        assert int32_draw_state(rng) == int32_draw_state(recorded) == int32_draw_state(reference)
+        assert_same_stream_ahead(rng, reference)
+
+
+def int32_draw_state(rng):
+    """What an int32 draw leaves observable: the PCG64 state and any buffered high half."""
+    state = rng.bit_generator.state
+    return state["state"], state["has_uint32"], state["uinteger"] if state["has_uint32"] else None
+
+
+def assert_same_stream_ahead(rng, reference):
+    """An odd 32-bit draw reads a buffered half whole (a 64-bit draw skips it), then the
+    next 64-bit draw reads the next whole word."""
+    assert np.array_equal(rng.integers(0, 2**32, 5, dtype=np.uint32),
+                          reference.integers(0, 2**32, 5, dtype=np.uint32))
+    assert rng.integers(0, 2**62) == reference.integers(0, 2**62)
+
+
+class TestRawWordDraw:
+    """``_top_bits`` and ``_draw_codes`` against numpy's int32 draw: values and state."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("drawn_before", [0, 1, 3])  # 1 and 3 leave a high half buffered
+    @pytest.mark.parametrize("count", [1, 7, 64, 2 * penalty._BLOCK_VALUES + 3])
+    def test_top_bits_are_the_int32_draw(self, seed, drawn_before, count):
+        rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        for gen in (rng, reference):
+            gen.integers(0, 2, drawn_before, dtype=np.int32)
+        got = penalty._top_bits(rng, count)
+        want = reference.integers(0, 2, count, dtype=np.int32)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert int32_draw_state(rng) == int32_draw_state(reference)
+        assert_same_stream_ahead(rng, reference)
+
+    @pytest.mark.parametrize("n,draws", [
+        (3, 100_001),  # odd n, over several chunks
+        (5, 2 * (penalty._BLOCK_VALUES // 5) + 7),  # k*N not a multiple of the chunk
+        (24, 2 * 3),  # the widest code the float32 product keeps exact, small N
+    ])
+    @pytest.mark.parametrize("drawn_before", [0, 1])
+    def test_draw_codes_are_the_code_product(self, n, draws, drawn_before):
+        rng, reference = np.random.default_rng(n), np.random.default_rng(n)
+        for gen in (rng, reference):
+            gen.integers(0, 2, drawn_before, dtype=np.int32)
+        codes = penalty._draw_codes(rng, draws, n)
+        bits = reference.integers(0, 2, size=(draws, n), dtype=np.int32)
+        assert codes.dtype == np.int32
+        assert np.array_equal(codes, bits @ (1 << np.arange(n)))
+        assert int32_draw_state(rng) == int32_draw_state(reference)
+        assert_same_stream_ahead(rng, reference)
+
+    def test_codes_are_exact_at_24_bits(self):
+        bits = np.random.default_rng(2).integers(0, 2, size=(500, 24)).astype(bool)
+        bits[0], bits[1] = True, False  # the largest code, and zero
+        codes = penalty._codes(bits)
+        assert codes.dtype == np.int32
+        assert np.array_equal(codes, bits @ (1 << np.arange(24)))
+        assert codes[0] == 2**24 - 1 and codes[1] == 0
+
+    @pytest.mark.parametrize("bit_generator", [np.random.Philox, np.random.MT19937])
+    def test_other_bit_generators_draw_with_integers(self, bit_generator):
+        rng, reference = (np.random.Generator(bit_generator(3)) for _ in range(2))
+        for gen in (rng, reference):
+            gen.integers(0, 2, 1, dtype=np.int32)
+        assert np.array_equal(penalty._top_bits(rng, 101),
+                              reference.integers(0, 2, 101, dtype=np.int32))
+        codes = penalty._draw_codes(rng, 2 * 700, 5)
+        assert np.array_equal(codes, reference.integers(0, 2, size=(1400, 5), dtype=np.int32)
+                              @ (1 << np.arange(5)))
+        assert_same_stream_ahead(rng, reference)
+
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.Philox])
+    def test_table_path_reads_the_drawn_probes(self, bit_generator):
+        raw = np.random.default_rng(5).normal(size=(5, 5))
+        fn, z, config = QuadraticForm(raw + raw.T), repeated_point(5, 501), PenaltyConfig(k=3)
+        with ad.no_grad():
+            drawn = hessian_penalty_estimate(fn, z, config,
+                                             rng=np.random.Generator(bit_generator(5)))
+            signs = np.random.Generator(bit_generator(5)).integers(0, 2, size=(3, 501, 5))
+            injected = hessian_penalty_estimate(fn, z, config, probes=signs * 2.0 - 1.0)
+        assert_same_value(drawn, injected)
+
+    def test_table_path_holds_no_bit_array(self):
+        raw = np.random.default_rng(4).normal(size=(8, 8))
+        fn = QuadraticForm((raw + raw.T) / 2.0)
+        z = np.broadcast_to(np.zeros(8), (200_000, 8))  # verify's repeated point
+        tracemalloc.start()
+        try:
+            with ad.no_grad():
+                hessian_penalty_estimate(fn, z, PenaltyConfig(k=2), rng=np.random.default_rng(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bits = 2 * z.size * 4  # the k probe bits per latent entry as int32: 12.8 MB
+        assert peak < bits / 2
 
 
 def five_op_tail(stencil, inv, reduction, out):
