@@ -14,12 +14,18 @@ feature normalization and the penalty's probe-variance tail. Stacking and
 the variance and max reductions have no caller in the package. They stay
 only because the benchmark tracer patches them by name and the tests
 check the probe-variance tail against the five-op chain it replaced; they
-go with the next change to the benchmark (ROADMAP item 6).
+go with the next change to the benchmark (ROADMAP item 9).
 
 Everything is float64; finite-difference losses divide second differences
 by epsilon**2 and need the headroom. Any primitive that produces a
 non-finite value raises :class:`NumericError` naming the op instead of
-propagating NaNs.
+propagating NaNs. Feature normalization also raises when a row's mean
+square is not finite (a square that overflows), since dividing by its
+infinite root would zero the row; ``_rms`` is that check and formula,
+shared with the generator's off-record forward. That forward calls no
+primitive: it names its taps ``feature_normalize`` and its output ``add``,
+and raises the same error for a block whose mean square is not finite,
+or, for the head, names ``add`` where the recorded path names ``matmul``.
 
 The recording switch of :func:`no_grad` is per thread; a single record
 must stay confined to one thread.
@@ -172,16 +178,22 @@ def _coerce(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _make(kind: str, out_values: np.ndarray, parents: tuple, vjp) -> Tensor:
-    """Wrap a primitive result, recording it when gradients are enabled."""
-    if not np.isfinite(out_values).all():
-        raise NumericError(f"non-finite result in op {kind!r}")
+def _result(kind: str, values: np.ndarray) -> Tensor:
+    """An unrecorded tensor of op ``kind`` around ``values``, which the caller has checked."""
     out = Tensor.__new__(Tensor)
-    out.values = out_values
+    out.values = values
     out.op = kind
     out.requires_grad = False
     out._parents = ()
     out._vjp = None
+    return out
+
+
+def _make(kind: str, out_values: np.ndarray, parents: tuple, vjp) -> Tensor:
+    """Wrap a primitive result, recording it when gradients are enabled."""
+    if not np.isfinite(out_values).all():
+        raise NumericError(f"non-finite result in op {kind!r}")
+    out = _result(kind, out_values)
     if grad_enabled():
         for p in parents:
             if p.requires_grad:
@@ -435,6 +447,16 @@ def reshape(a, shape) -> Tensor:
     return _make("reshape", out, (a,), lambda g: (np.reshape(g, a.shape),))
 
 
+def _rms(x: np.ndarray) -> np.ndarray:
+    """sqrt(mean_j(x_j**2) + 1e-8) of each row of ``x``, as a column. A mean square that
+    is not finite, from a square that overflows, is a NumericError: a row divided by an
+    infinite root would read as zeros. A finite one keeps ``x / _rms(x)`` finite."""
+    r = np.mean(x * x, axis=-1, keepdims=True)
+    if not np.isfinite(r).all():
+        raise NumericError("non-finite result in op 'feature_normalize'")
+    return np.sqrt(r + 1e-8)
+
+
 def feature_normalize(a) -> Tensor:
     """Divide each row by the root mean square of its entries.
 
@@ -444,9 +466,7 @@ def feature_normalize(a) -> Tensor:
     if a.ndim < 1:
         raise ContractViolation("feature_normalize: scalar input")
     m = a.shape[-1]
-
-    r = np.mean(a.values * a.values, axis=-1, keepdims=True)
-    s = np.sqrt(r + 1e-8)
+    s = _rms(a.values)
     out = a.values / s
 
     def vjp(g):

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation, DegeneracyError
+from .errors import ContractViolation, DegeneracyError, NumericError
 from .penalty import forward_values, row_blocks
 
 _PARALLEL_EPS = 1e-6
@@ -122,7 +122,10 @@ def _sweep_scores(fn, dim: int, components, n_base: int, n_sweep: int, seed: int
         swept -= swept[:, :1]
         var = np.var(swept, axis=1, ddof=1)
         per_base.append(var.reshape(len(var), -1).mean(axis=1))
-    return np.concatenate(per_base).reshape(len(components), -1).mean(axis=1)
+    scores = np.concatenate(per_base).reshape(len(components), -1).mean(axis=1)
+    if not np.isfinite(scores).all():
+        raise NumericError("activeness: non-finite output variance")
+    return scores
 
 
 def activeness(fn, dim: int, component: int, n_base: int = 64, n_sweep: int = 16,
@@ -177,8 +180,11 @@ def ppl(fn, dim: int, config: PPLConfig = PPLConfig(), seed: int = 0) -> PPLResu
     d = np.empty(len(z1k))
     for i, out in row_blocks(len(pairs), 2, lambda lo, hi: forward_values(fn, pairs[lo:hi])):
         out = out.reshape((-1, 2) + out.shape[1:])
-        d[i:i + len(out)] = np.sum((out[:, 0] - out[:, 1]) ** 2, axis=1)
+        diff = np.subtract(out[:, 0], out[:, 1])
+        np.sum(np.square(diff, out=diff), axis=1, out=d[i:i + len(out)])
     d /= config.alpha * config.alpha
     mean, se = _mean_se(d)
+    if not np.isfinite([mean, se]).all():
+        raise NumericError("ppl: non-finite path length")
     return PPLResult(value=mean, std_error=se, samples=d.size, skipped=skipped,
                      alpha=config.alpha)

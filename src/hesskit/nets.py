@@ -9,6 +9,13 @@ default tap selection leaves the last hidden layer out. A caller that
 reads only some taps names them, and the forward pass stops after the
 deepest one: the penalty on ``norm1,norm2`` never runs the head.
 
+Off the record (under ``no_grad``) the generator runs the same blocks as
+plain numpy, in place on each block's own product, and returns the same
+values bit for bit as unrecorded tensors named like the recorded ops
+(``feature_normalize`` for a tap, ``add`` for the output). Each hidden
+block is checked once, by the finiteness of its mean square, and the head
+by one scan of its output, instead of one scan per primitive.
+
 The discriminator stacks affine -> leaky-rectifier blocks and ends in a
 single linear logit. Both nets are read-shared during evaluation;
 parameter updates need exclusive access.
@@ -156,6 +163,8 @@ class Generator(_Net):
         """
         depth = self._depth(taps)
         h, _ = as_batch(z, self.latent_dim)
+        if not ad.grad_enabled():
+            return self._forward_values(h.values, depth)
         found: dict[str, ad.Tensor] = {}
         for i, (w, b) in enumerate(self._hidden[:depth]):
             if i:
@@ -167,6 +176,26 @@ class Generator(_Net):
         if self.hidden_layers:
             h = ad.tanh(h)
         return ad.matmul(h, self._head[0]) + self._head[1], found
+
+    def _forward_values(self, h: np.ndarray, depth: int):
+        """The recorded forward's values, bit for bit, with nothing recorded: each block
+        runs in place on its own product and is checked once, by its mean square."""
+        found: dict[str, ad.Tensor] = {}
+        for i, (w, b) in enumerate(self._hidden[:depth]):
+            if i:
+                h = np.tanh(h)  # fresh: the caller may read the tap it came from
+            y = np.matmul(h, w.values)
+            y += b.values
+            y /= ad._rms(y)
+            found[f"norm{i + 1}"] = ad._result("feature_normalize", y)
+            h = y
+        if depth <= self.hidden_layers:
+            return None, found
+        if self.hidden_layers:
+            h = np.tanh(h)
+        y = np.matmul(h, self._head[0].values)
+        y += self._head[1].values
+        return ad._make("add", y, (), None), found
 
 
 class Discriminator(_Net):

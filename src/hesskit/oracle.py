@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation
+from .errors import ContractViolation, NumericError
 from .files import overwrite
 from .penalty import _check_epsilon, exact_offdiag_penalty, forward_values, row_blocks
 
@@ -111,6 +111,8 @@ def hessian_sets_for(fn, zs, epsilon: float) -> list[HessianSet]:
         h = np.zeros((hi - lo, f.shape[2], n, n))
         h[:, :, np.arange(n), np.arange(n)] = diag.transpose(0, 2, 1)
         h[:, :, rows, cols] = h[:, :, cols, rows] = mixed.transpose(0, 2, 1)
+        if not np.isfinite(h).all():
+            raise NumericError("non-finite finite-difference Hessian")
         return h, width
 
     return [HessianSet(matrices=mats, z=zs[lo + i], epsilon=epsilon)
@@ -178,8 +180,12 @@ def diagonality_metrics(hessians) -> DiagonalityReport:
 
     mean_diag = diag_sum / diag_n if diag_n else 0.0
     mean_off = off_sum / off_n if off_n else 0.0
-    return DiagonalityReport(d_percent=diag_count / total, count=total,
-                             d_ratio=mean_diag / mean_off if mean_off else math.inf)
+    d_ratio = mean_diag / mean_off if mean_off else math.inf
+    # an overflowed sum or ratio would read as NaN, or as all-zero off-diagonals
+    finite = math.isfinite(diag_sum) and math.isfinite(off_sum)
+    if not finite or (mean_off and math.isinf(d_ratio)):
+        raise NumericError("diagonality: the pooled Hessian entries overflow")
+    return DiagonalityReport(d_percent=diag_count / total, count=total, d_ratio=d_ratio)
 
 
 def _hessian_stacks(hessians) -> list[np.ndarray]:

@@ -66,7 +66,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ContractViolation
+from .errors import ContractViolation, NumericError
 
 REDUCTIONS = ("max", "mean")
 # a stacked forward of at most _WHOLE_ROWS rows is one call; a larger one runs in blocks
@@ -158,6 +158,8 @@ def exact_offdiag_penalty(matrix):
         raise ContractViolation(f"expected a square matrix or a stack of them, got shape {h.shape}")
     flat, diag = h.reshape(h.shape[:-2] + (-1,)), np.diagonal(h, axis1=-2, axis2=-1)
     sums = (flat * flat).sum(axis=-1) - (diag * diag).sum(axis=-1)
+    if not np.isfinite(sums).all():  # squares that overflow leave inf, or inf - inf
+        raise NumericError("non-finite off-diagonal penalty")
     return float(sums) if h.ndim == 2 else sums
 
 

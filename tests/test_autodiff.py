@@ -78,6 +78,16 @@ def test_nonfinite_result_names_the_op():
         ad.square(huge)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_feature_normalize_refuses_a_mean_square_that_overflows():
+    # dividing by the infinite root of 1e400 / 3 would silently zero the row
+    x = ad.Tensor([[1e200, 1.0, -3.0]], requires_grad=True)
+    with pytest.raises(NumericError, match="feature_normalize"):
+        ad.feature_normalize(x)
+    with ad.no_grad(), pytest.raises(NumericError, match="feature_normalize"):
+        ad.feature_normalize(x)
+
+
 def test_repeated_forward_records_identical_ops_and_values():
     rng = np.random.default_rng(0)
     w = ad.Parameter("w", rng.normal(size=(4, 3)))

@@ -237,6 +237,42 @@ def test_numeric_error_exits_two(tmp_path):
     assert code == 2
 
 
+def scaled_checkpoint(tmp_path, name, factor):
+    g = Generator(latent_dim=3, output_dim=8, hidden_width=6, hidden_layers=2, seed=0)
+    param = {p.name: p for p in g.parameters()}[name]
+    param.assign(param.values * factor)
+    path = str(tmp_path / "scaled.npz")
+    save_checkpoint(g, path)
+    return path
+
+
+def reject_constant(token):
+    raise ValueError(f"non-finite JSON token {token}")
+
+
+SMALL_EVAL = ["--ppl-samples", "50", "--act-base", "4", "--act-sweep", "2", "--hess-samples", "2"]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_eval_refuses_a_block_whose_mean_square_overflows(tmp_path, capsys):
+    ckpt = scaled_checkpoint(tmp_path, "hidden.1.weight", 1e306)
+    assert main(["eval", "--checkpoint", ckpt, *SMALL_EVAL, "--out", str(tmp_path / "ev")]) == 2
+    assert "feature_normalize" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
+@pytest.mark.parametrize("argv", [["eval", *SMALL_EVAL], ["hessdump", "--samples", "2", "--top", "4"]])
+def test_overflowing_reports_exit_two_and_write_only_strict_json(tmp_path, argv):
+    ckpt = scaled_checkpoint(tmp_path, "head.weight", 1e306)
+    out = tmp_path / "out"
+    assert main([argv[0], "--checkpoint", ckpt, *argv[1:], "--out", str(out)]) == 2
+    written = list(out.rglob("*.json"))
+    assert written  # config.json at least
+    for path in written:
+        json.loads(path.read_text(encoding="utf-8"), parse_constant=reject_constant)
+    assert not (out / "heatmaps").exists()
+
+
 def test_output_root_env_var(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("HESSKIT_OUTPUT_ROOT", str(tmp_path / "root"))
     monkeypatch.chdir(tmp_path)

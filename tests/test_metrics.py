@@ -3,7 +3,7 @@ import pytest
 
 from hesskit import autodiff as ad
 from hesskit import penalty
-from hesskit.errors import ContractViolation, DegeneracyError
+from hesskit.errors import ContractViolation, DegeneracyError, NumericError
 from hesskit.functions import QuadraticForm, get_function
 from hesskit.metrics import PPLConfig, activeness, activeness_profile, ppl, slerp
 from hesskit.nets import Generator
@@ -192,3 +192,15 @@ class TestRowBlocks:
             assert first in (2, 4)  # one pair, or one sweep
             assert len(rest) > 2 and max(rest) <= budget // width
             assert rest[-1] < rest[0]  # ragged last block
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
+def test_overflowing_metrics_raise_instead_of_reporting_inf():
+    # the outputs stay finite; their squared differences and variances overflow
+    g = Generator(latent_dim=3, output_dim=8, hidden_width=6, hidden_layers=2, seed=0)
+    w = g.parameters()[-2]  # head.weight
+    w.assign(w.values * 1e306)
+    with pytest.raises(NumericError, match="path length"):
+        ppl(g, 3, PPLConfig(samples=20), seed=0)
+    with pytest.raises(NumericError, match="activeness"):
+        activeness_profile(g, 3, n_base=4, n_sweep=2, seed=0)

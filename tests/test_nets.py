@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hesskit import autodiff as ad
 from hesskit import nets
 from hesskit.errors import ContractViolation, NumericError
 from hesskit.nets import Discriminator, Generator, load_checkpoint, save_checkpoint
-from hesskit.penalty import PenaltyConfig, hessian_penalty_estimate
+from hesskit.penalty import PenaltyConfig, forward_values, hessian_penalty_estimate
 
 
 def test_zero_weight_generator_outputs_zero():
@@ -202,3 +203,54 @@ def test_penalty_on_default_taps_never_runs_the_head(monkeypatch):
     rows = counting_matmul(monkeypatch)
     hessian_penalty_estimate(g, np.zeros((2, 3)), PenaltyConfig(taps=g.default_taps))
     assert rows == [8, 8]  # 2k * B stencil rows through two hidden layers
+
+
+@pytest.mark.parametrize("arch", [(6, 768, 64, 3), (3, 12, 8, 1), (4, 5, 7, 0)])
+@pytest.mark.parametrize("rows", [1, 2, 170, 1025])
+def test_off_record_forward_equals_the_recorded_one_bit_for_bit(arch, rows):
+    g = Generator(*arch, seed=5)
+    z = np.random.default_rng(rows).normal(size=(rows, arch[0]))
+    for taps in (None, (), ("norm1",), ("norm2", "output"), ("output",)):
+        try:
+            ref_out, ref_taps = g(z, taps)
+        except ContractViolation:  # a tap this generator lacks, refused on both paths
+            with ad.no_grad(), pytest.raises(ContractViolation, match="no tap named"):
+                g(z, taps)
+            continue
+        with ad.no_grad():
+            out, found = g(z, taps)
+        assert found.keys() == ref_taps.keys()
+        for name, tensor in found.items():
+            assert ref_taps[name].requires_grad
+            assert np.array_equal(tensor.values, ref_taps[name].values)
+            assert tensor.op == "feature_normalize" and not tensor.requires_grad
+        assert (out is None) == (ref_out is None)
+        if out is not None:
+            assert ref_out.requires_grad
+            assert np.array_equal(out.values, ref_out.values)
+            assert out.op == "add" and not out.requires_grad
+
+
+def test_off_record_forward_peaks_below_two_output_blocks():
+    g = Generator(6, 768, 64, 3, seed=0)
+    units = np.random.default_rng(0).normal(size=(170, 6))
+    forward_values(g, units)
+    tracemalloc.start()
+    try:
+        forward_values(g, units)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.75 * units.shape[0] * 768 * 8  # one 170 x 768 float64 array is 1.04 MB
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_a_block_whose_mean_square_overflows_raises_on_and_off_the_record():
+    g = Generator(3, 5, 4, 2, seed=0)
+    w = g.parameters()[0]
+    w.assign(w.values * 1e200)  # finite products whose squares overflow
+    z = np.random.default_rng(0).normal(size=(3, 3))
+    with pytest.raises(NumericError, match="feature_normalize"):
+        g(z)
+    with ad.no_grad(), pytest.raises(NumericError, match="feature_normalize"):
+        g(z)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from hesskit import autodiff as ad
 from hesskit import penalty
-from hesskit.errors import ContractViolation
+from hesskit.errors import ContractViolation, NumericError
 from hesskit.functions import QuadraticForm, SeparablePolynomial, get_function
 from hesskit.nets import Generator
 from hesskit.oracle import (
@@ -90,6 +90,13 @@ class TestExactHessianFD:
         assert [h.matrices.shape for h in hs] == [(1, 1, 1), (1, 1, 1)]
         assert hs[0].matrices[0, 0, 0] == pytest.approx(6.0, abs=1e-6)
         assert hs[1].matrices[0, 0, 0] == pytest.approx(-12.0, abs=1e-6)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_non_finite_hessian_raises():
+    # f = 1e308 z^2 is finite near 0, its second derivative 2e308 is not
+    with pytest.raises(NumericError, match="Hessian"):
+        hessian_sets_for(lambda z: ad.scale(ad.square(z), 1e308), np.full((2, 2), 0.01), 1e-3)
 
 
 class TestRowBlocks:
@@ -205,6 +212,13 @@ class TestDiagonality:
     def test_tie_counts_as_diagonal(self):
         report = diagonality_metrics(np.zeros((1, 2, 2)))
         assert report.d_percent == 1.0
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("diag, off", [(1e308, 1.0), (1e308, 1e308), (1e300, 1e-20)])
+    def test_overflowing_sums_or_ratio_raise(self, diag, off):
+        # an infinite diagonal sum or ratio read as "all off-diagonals zero"; two as NaN
+        with pytest.raises(NumericError, match="overflow"):
+            diagonality_metrics(np.array([[[diag, off], [off, diag]]]))
 
     def test_pools_across_hessian_sets(self):
         a = HessianSet(matrices=np.stack([np.eye(2)] * 2), z=np.zeros(2), epsilon=0.1)

@@ -188,6 +188,11 @@ class TestExactOffdiag:
     def test_asymmetric_entries(self):
         assert exact_offdiag_penalty([[2.0, 3.0], [-1.0, 5.0]]) == pytest.approx(10.0)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
+    def test_overflowing_squares_raise(self):
+        with pytest.raises(NumericError, match="off-diagonal penalty"):
+            exact_offdiag_penalty(np.full((2, 2), 1e200))  # inf - inf at the parent: NaN
+
     def test_rejects_nonsquare(self):
         with pytest.raises(ContractViolation):
             exact_offdiag_penalty(np.ones((2, 3)))

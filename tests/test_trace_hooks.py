@@ -13,6 +13,8 @@ import numpy as np
 
 import hesskit
 import hesskit.cli  # noqa: F401  the tracer wraps cli.main; the package does not import it
+from hesskit.metrics import PPLConfig
+from hesskit.penalty import row_blocks
 
 TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                       "perfbench", "tracer.py")
@@ -62,3 +64,21 @@ def test_tracer_install_patches_and_uninstall_restores():
         assert after[name].keys() == values.keys(), name
         for attr, value in values.items():
             assert after[name][attr] is value, f"{name}.{attr}"
+
+
+def test_tracer_sees_every_off_record_generator_block_of_ppl():
+    samples = 600  # 1,200 rows: one pair, then blocks of whole pairs
+    blocks = list(row_blocks(samples, 2, lambda lo, hi: ((lo, hi), 768)))
+    tracer = load_tracer_module().Tracer(hesskit)
+    try:
+        tracer.install()
+        root = tracer.begin("op2", 0)
+        result = hesskit.metrics.ppl(hesskit.Generator(seed=0), 6, PPLConfig(samples=samples))
+        tracer.finish(root)
+    finally:
+        tracer.uninstall()
+    assert result.skipped == 0
+    sums = tracer.sums_per_op()[0]
+    assert sums["nets.generator_calls"] == len(blocks) > 2
+    assert sums["nets.generator_rows"] == 2 * samples
+    assert sums["autodiff.primitive_calls"] == 0  # the kernel runs no primitive

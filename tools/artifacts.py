@@ -13,7 +13,9 @@ What is hashed: ``log.jsonl`` records without their ``wall_clock`` field
 (the only nondeterministic output), ``.npz`` files by their arrays' names,
 dtypes, shapes and bytes (not the zip container), and every other file byte
 for byte, with OUT_DIR's absolute path cut out of JSON text. The commands
-run inside OUT_DIR with relative paths, so ``config.json`` holds none.
+run inside OUT_DIR with relative paths, so ``config.json`` holds none. JSON
+and JSON-lines files are parsed strictly: a ``NaN`` or ``Infinity`` token,
+which strict parsers reject, exits 1 and names the file.
 
 A digest depends on the BLAS build and the CPU's kernels, so compare two
 trees on one machine, never against a stored list. ``--blas-threads`` sets
@@ -71,8 +73,18 @@ def _drop_wall_clock(value):
     return value
 
 
+def _reject_constant(token: str):
+    raise ValueError(f"non-finite JSON token {token}")
+
+
+def _strict_json(text):
+    """Parsed JSON text; a NaN, Infinity or -Infinity token is a ValueError."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 def digest(path: str, root: str) -> str:
-    """sha256 of one artifact, as the module docstring describes."""
+    """sha256 of one artifact, as the module docstring describes; a ValueError for
+    JSON text with a non-finite token, which strict parsers reject."""
     h = hashlib.sha256()
     if path.endswith(".npz"):
         with np.load(path, allow_pickle=False) as arrays:
@@ -83,12 +95,13 @@ def digest(path: str, root: str) -> str:
     elif path.endswith(".jsonl"):
         with open(path, encoding="utf-8") as fh:
             for line in fh:
-                record = _drop_wall_clock(json.loads(line))
+                record = _drop_wall_clock(_strict_json(line))
                 h.update((json.dumps(record, sort_keys=True) + "\n").encode())
     else:
         with open(path, "rb") as fh:
             data = fh.read()
         if path.endswith(".json"):
+            _strict_json(data)
             data = data.replace(os.path.abspath(root).encode(), b"")
         h.update(data)
     return h.hexdigest()
@@ -120,8 +133,15 @@ def main(argv=None) -> int:
     elapsed = time.perf_counter() - start
     paths = sorted(os.path.relpath(os.path.join(d, f), args.out)
                    for d, _, files in os.walk(args.out) for f in files)
+    digests = []
     for path in paths:
-        print(f"{digest(os.path.join(args.out, path), args.out)}  {path}")
+        try:
+            digests.append(digest(os.path.join(args.out, path), args.out))
+        except ValueError as exc:
+            print(f"{path}: {exc}", file=sys.stderr)
+            return 1
+    for path, sha in zip(paths, digests):
+        print(f"{sha}  {path}")
     print(f"{len(paths)} artifacts of {len(CALLS)} calls in {elapsed:.1f} s", file=sys.stderr)
     return 0
 
