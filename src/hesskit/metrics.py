@@ -20,6 +20,16 @@ each reduced as soon as it returns: a block and its temporaries stay in
 cache, where a large fresh output has the kernel map its pages one fault
 at a time on every call. A row's value and every reduction are the same
 for any split, so results do not depend on the block size.
+
+Both metrics only subtract or centre outputs. For a generator whose
+``head_gram()`` says its outputs are a bounded affine map ``tanh(t) W + b``
+of its last tap ``t``, they read ``tanh(t)`` instead of the outputs: a
+squared distance is then ``Δ (W Wᵀ) Δᵀ`` for the difference ``Δ`` of
+features, and a sweep's mean output variance is ``⟨C, W Wᵀ⟩ / m`` for the
+sweep covariance ``C`` of the shifted features and output width ``m``.
+The blocks are the same as for the outputs, and every call still goes
+through the generator. Other functions, and wrappers that hide the
+method, reduce their outputs as before.
 """
 
 from __future__ import annotations
@@ -28,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import autodiff as ad
 from .errors import ContractViolation, DegeneracyError, NumericError
 from .penalty import forward_values, row_blocks
 
@@ -97,6 +108,41 @@ def slerp(a, b, alpha: float) -> np.ndarray:
     return np.sin((1.0 - alpha) * omega) / s * a + np.sin(alpha * omega) / s * b
 
 
+def _blocks(fn, units: np.ndarray):
+    """``(gram, blocks)``: ``blocks`` yields ``(lo, values)`` over the row blocks of
+    whole ``units`` (n_units, rows, n), with ``values`` shaped (units, rows, width).
+
+    When ``fn.head_gram()`` gives ``(tap, W Wᵀ)``, the values are ``tanh`` of that
+    tap, read through ``fn(z, (tap,))``, and a difference of them times ``W`` is the
+    difference of the outputs; otherwise they are the outputs and ``gram`` is None.
+    Either way the blocks are sized by the output width, as for the outputs.
+    """
+    tap, gram = (fn.head_gram() if hasattr(fn, "head_gram") else None) or (None, None)
+    if gram is None:
+        def run(lo, hi):
+            return forward_values(fn, units[lo:hi])
+    else:
+        def run(lo, hi):
+            with ad.no_grad():
+                _, taps = fn(ad.Tensor(units[lo:hi].reshape(-1, units.shape[-1])), (tap,))
+            t = np.tanh(taps[tap].values, out=taps[tap].values)
+            return t, max(units.shape[-1], t.shape[1], fn.output_dim)
+    rows = units.shape[1]
+    blocks = ((lo, out.reshape((-1, rows) + out.shape[1:]))
+              for lo, out in row_blocks(len(units), rows, run))
+    return gram, blocks
+
+
+def _square_norms(x: np.ndarray, gram, out=None) -> np.ndarray:
+    """Squared norm of each row of ``x``, or of ``x @ W`` given ``gram = W Wᵀ``; the
+    plain norms square ``x`` in place."""
+    if gram is None:
+        return np.sum(np.square(x, out=x), axis=1, out=out)
+    # a one-row product goes through gemv, which rounds unlike a row of a larger product
+    xg = x @ gram if len(x) > 1 else (np.repeat(x, 2, axis=0) @ gram)[:1]
+    return np.einsum("ij,ij->i", xg, x, out=out)
+
+
 def _sweep_scores(fn, dim: int, components, n_base: int, n_sweep: int, seed: int) -> np.ndarray:
     """Activeness of each listed component, over row blocks of whole sweeps.
 
@@ -114,14 +160,19 @@ def _sweep_scores(fn, dim: int, components, n_base: int, n_sweep: int, seed: int
     batch[...] = base[:, None, :]
     for i, component in enumerate(components):
         batch[i, :, :, component] = sweeps
-    units = batch.reshape(-1, n_sweep, dim)
+    gram, blocks = _blocks(fn, batch.reshape(-1, n_sweep, dim))
     per_base = []
-    for _, out in row_blocks(len(units), n_sweep, lambda lo, hi: forward_values(fn, units[lo:hi])):
-        swept = out.reshape((-1, n_sweep) + out.shape[1:])
+    for _, swept in blocks:
         # shift each sweep by its first row: identical sweeps then score exactly zero
         swept -= swept[:, :1]
-        var = np.var(swept, axis=1, ddof=1)
-        per_base.append(var.reshape(len(var), -1).mean(axis=1))
+        if gram is None:
+            var = np.var(swept, axis=1, ddof=1)
+            per_base.append(var.reshape(len(var), -1).mean(axis=1))
+        else:  # the trace of the outputs' sweep covariance, through W Wᵀ
+            swept -= swept.mean(axis=1, keepdims=True)
+            sq = _square_norms(swept.reshape(-1, swept.shape[-1]), gram)
+            per_base.append(sq.reshape(len(swept), -1).sum(axis=1)
+                            / ((n_sweep - 1) * fn.output_dim))
     scores = np.concatenate(per_base).reshape(len(components), -1).mean(axis=1)
     if not np.isfinite(scores).all():
         raise NumericError("activeness: non-finite output variance")
@@ -177,11 +228,10 @@ def ppl(fn, dim: int, config: PPLConfig = PPLConfig(), seed: int = 0) -> PPLResu
     zs = ca[:, None] * z1k + cb[:, None] * z2k
 
     pairs = np.stack([z1k, zs], axis=1)  # each pair's first point, then its interpolant
+    gram, blocks = _blocks(fn, pairs)
     d = np.empty(len(z1k))
-    for i, out in row_blocks(len(pairs), 2, lambda lo, hi: forward_values(fn, pairs[lo:hi])):
-        out = out.reshape((-1, 2) + out.shape[1:])
-        diff = np.subtract(out[:, 0], out[:, 1])
-        np.sum(np.square(diff, out=diff), axis=1, out=d[i:i + len(out)])
+    for i, out in blocks:
+        _square_norms(np.subtract(out[:, 0], out[:, 1]), gram, out=d[i:i + len(out)])
     d /= config.alpha * config.alpha
     mean, se = _mean_se(d)
     if not np.isfinite([mean, se]).all():

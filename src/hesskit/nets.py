@@ -16,6 +16,12 @@ values bit for bit as unrecorded tensors named like the recorded ops
 block is checked once, by the finiteness of its mean square, and the head
 by one scan of its output, instead of one scan per primitive.
 
+``Generator.head_gram`` is the one place that knows the head is affine in
+``tanh`` of the last tap. It returns that tap's name and ``W Wᵀ`` when
+every output is provably finite, so a metric that only subtracts or
+centres outputs can read the hidden-width features and reduce through
+the Gram matrix instead of forming the (by default 12× wider) outputs.
+
 The discriminator stacks affine -> leaky-rectifier blocks and ends in a
 single linear logit. Both nets are read-shared during evaluation;
 parameter updates need exclusive access.
@@ -141,6 +147,23 @@ class Generator(_Net):
     def default_taps(self) -> tuple[str, ...]:
         """All normalization taps except the final hidden layer's."""
         return default_taps(self.hidden_layers)
+
+    def head_gram(self) -> tuple[str, np.ndarray] | None:
+        """``(last tap t, W Wᵀ)`` when every output is ``tanh(t) @ W + b`` and bounded.
+
+        None without a hidden layer, or when a column bound ``Σᵢ|W_ij| + |b_j|`` or
+        ``W Wᵀ`` is not finite: an output could then overflow, which only the full
+        forward, scanning every output, can report.
+        """
+        if not self.hidden_layers:
+            return None
+        w, b = (p.values for p in self._head)
+        with np.errstate(over="ignore", invalid="ignore"):  # both are checked below
+            bound = np.abs(w).sum(axis=0) + np.abs(b)
+            gram = w @ w.T
+        if not (np.isfinite(bound).all() and np.isfinite(gram).all()):
+            return None
+        return self.tap_names[-1], gram
 
     def _depth(self, taps) -> int:
         """Blocks a call must run to produce ``taps``; ``hidden_layers + 1`` includes the head."""

@@ -26,7 +26,8 @@ from hesskit.penalty import (
     sample_rademacher,
     second_directional_fd,
 )
-from hesskit.training import TrainConfig, discover_directions, train
+from hesskit.training import TrainConfig, discover_directions
+from seeded_runs import train_all
 
 
 def verdict(number: int, ok: bool, detail: str) -> None:
@@ -149,30 +150,28 @@ SEEDS = (0, 1, 2, 3, 4)
 TRAIN_TAPS = ("norm1", "norm2", "output")
 
 
-def _train_run(seed: int, weight: float):
-    config = TrainConfig(
+def _train_config(seed: int, weight: float) -> TrainConfig:
+    return TrainConfig(
         mode="reconstruction", dataset="simple-4factor", latent_dim=6, steps=3000,
         batch_size=16, dataset_size=2048, penalty_weight=weight, warmup_steps=500,
         penalty=PenaltyConfig(epsilon=0.1, k=2, reduction="max", taps=TRAIN_TAPS, seed=0),
         seed=seed,
     )
-    return train(config)
 
 
 @pytest.fixture(scope="module")
 def paired_runs():
+    """(seed, penalty run, baseline run) per seed, the wall time of training them on
+    both cores, and the sum of the runs' own times."""
     t0 = time.monotonic()
-    runs = []
-    for seed in SEEDS:
-        penalty_run = _train_run(seed, 0.1)
-        baseline_run = _train_run(seed, 0.0)
-        runs.append((seed, penalty_run, baseline_run))
-    return runs, time.monotonic() - t0
+    done = train_all([_train_config(seed, weight) for seed in SEEDS for weight in (0.1, 0.0)])
+    runs = [(seed, done[2 * i], done[2 * i + 1]) for i, seed in enumerate(SEEDS)]
+    return runs, time.monotonic() - t0, sum(run.seconds for run in done)
 
 
 @pytest.mark.slow
 def test_c07_diagonality_beats_baseline(paired_runs):
-    runs, train_seconds = paired_runs
+    runs, train_seconds, summed_seconds = paired_runs
     t0 = time.monotonic()
     wins = 0
     details = []
@@ -188,12 +187,13 @@ def test_c07_diagonality_beats_baseline(paired_runs):
     elapsed = train_seconds + (time.monotonic() - t0)
     verdict(7, wins >= 4 and elapsed <= 900.0,
             f"penalty runs beat baselines on both diagonality metrics in {wins}/5 seed "
-            f"pairs ({'; '.join(details)}) in {elapsed:.0f}s")
+            f"pairs ({'; '.join(details)}) in {elapsed:.0f}s (runs summed "
+            f"{summed_seconds:.0f}s)")
 
 
 @pytest.mark.slow
 def test_c08_latent_shrinkage(paired_runs):
-    runs, _ = paired_runs
+    runs = paired_runs[0]
     penalty_gap = 0
     baseline_gap = 0
     counts = []

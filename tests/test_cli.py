@@ -76,18 +76,16 @@ def test_verify_passes(tmp_path):
 
 
 def test_verify_with_equal_trials_fails_without_a_traceback(tmp_path, capsys):
-    # two trials in dimension 2 are often equal, so a matrix's standard error can be 0
+    # two trials in dimension 2 are often equal, leaving the 3-SE gate no spread to
+    # score against: so few trials are a usage error, not a FAIL that is only noise
     out = str(tmp_path / "ver")
     code = main(["verify", "--dims", "2..3", "--trials", "2", "--mc-dim", "2",
                  "--mc-trials", "2", "--mc-matrices", "5", "--out", out])
     assert code == 1
-    mc = read_json(os.path.join(out, "reports", "verify.json"))["unbiasedness"]
-    flat = [m for m in mc["matrices"] if m["std_error"] == 0.0]
-    assert flat
-    for m in flat:
-        assert m["z_score"] is None and m["within_3_se"] is (m["mean"] == m["enumerated"])
-    assert not mc["passed"]
-    assert "unbiasedness: FAIL" in capsys.readouterr().out
+    err = capsys.readouterr().err
+    assert err.startswith("error: --mc-trials must be >= 30") and "3-standard-error" in err
+    assert "Traceback" not in err
+    assert not os.path.exists(os.path.join(out, "reports", "verify.json"))
 
 
 def test_out_of_memory_exits_one_with_a_message(tmp_path, monkeypatch, capsys):
@@ -260,6 +258,19 @@ def test_eval_refuses_a_block_whose_mean_square_overflows(tmp_path, capsys):
     assert "feature_normalize" in capsys.readouterr().err
 
 
+def test_overflow_prints_only_the_typed_error(tmp_path):
+    ckpt = scaled_checkpoint(tmp_path, "hidden.1.weight", 1e306)
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop("PYTHONWARNINGS", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "hesskit", "eval", "--checkpoint", ckpt, *SMALL_EVAL,
+         "--out", str(tmp_path / "ev")],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == ("numeric error: non-finite result in op 'feature_normalize'\n")
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
 @pytest.mark.parametrize("argv", [["eval", *SMALL_EVAL], ["hessdump", "--samples", "2", "--top", "4"]])
 def test_overflowing_reports_exit_two_and_write_only_strict_json(tmp_path, argv):
@@ -411,6 +422,7 @@ def test_malformed_dataset_manifest_is_a_contract_violation(tmp_path, capsys, ca
 @pytest.mark.parametrize("argv", [
     ["verify", "--mc-trials", "0"],
     ["verify", "--mc-trials", "1"],
+    ["verify", "--mc-trials", "29"],
     ["verify", "--mc-dim", "0"],
     ["verify", "--trials", "0"],
     ["verify", "--mc-matrices", "-1"],

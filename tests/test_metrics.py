@@ -204,3 +204,60 @@ def test_overflowing_metrics_raise_instead_of_reporting_inf():
         ppl(g, 3, PPLConfig(samples=20), seed=0)
     with pytest.raises(NumericError, match="activeness"):
         activeness_profile(g, 3, n_base=4, n_sweep=2, seed=0)
+
+
+class TestGramPath:
+    """A generator's metrics reduce its head through ``W Wᵀ``; ``Recorded`` hides
+    ``head_gram``, so it runs the generic path on the same generator."""
+
+    @staticmethod
+    def both(fn, dim):
+        return [(ppl(f, dim, PPLConfig(samples=300), seed=3),
+                 activeness_profile(f, dim, n_base=7, n_sweep=5, seed=6))
+                for f in (fn, Recorded(fn))]
+
+    @pytest.mark.parametrize("arch", [(6, 768, 64, 3), (3, 12, 8, 1), (4, 5, 7, 2)])
+    def test_agrees_with_the_generic_path(self, arch):
+        g = Generator(*arch, seed=8)
+        assert g.head_gram()[0] == g.tap_names[-1]
+        (gram_ppl, gram_act), (ppl_ref, act_ref) = self.both(g, arch[0])
+        assert gram_ppl.value == pytest.approx(ppl_ref.value, rel=1e-12, abs=0.0)
+        assert gram_ppl.std_error == pytest.approx(ppl_ref.std_error, rel=1e-12, abs=0.0)
+        assert np.allclose(gram_act, act_ref, rtol=1e-12, atol=0.0)
+        assert act_ref.min() > 0.0
+
+    def test_no_hidden_layer_is_the_generic_path(self):
+        g = Generator(3, 8, 6, 0, seed=1)
+        assert g.head_gram() is None
+        (gram_ppl, gram_act), (ppl_ref, act_ref) = self.both(g, 3)
+        assert gram_ppl.to_dict() == ppl_ref.to_dict()
+        assert gram_act.tobytes() == act_ref.tobytes()
+
+    def test_a_dead_component_scores_exactly_zero(self):
+        g = Generator(seed=2)
+        w = g.parameters()[0]  # hidden.0.weight
+        values = w.values.copy()
+        values[4] = 0.0
+        w.assign(values)
+        assert g.head_gram() is not None
+        scores = activeness_profile(g, 6, n_base=7, n_sweep=5, seed=6)
+        assert scores[4] == 0.0 and np.all(np.delete(scores, 4) > 0.0)
+        assert activeness(g, 6, 4, n_base=5, n_sweep=3, seed=1) == 0.0
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
+    @pytest.mark.parametrize("factor", [1e306, 1e308])  # W Wᵀ overflows; the bound too
+    def test_an_unbounded_head_takes_the_generic_path(self, tmp_path, factor):
+        from hesskit.cli import main
+        from hesskit.nets import save_checkpoint
+
+        g = Generator(latent_dim=3, output_dim=8, hidden_width=6, hidden_layers=2, seed=0)
+        w = g.parameters()[-2]  # head.weight
+        w.assign(w.values * factor)
+        assert g.head_gram() is None
+        with pytest.raises(NumericError):
+            ppl(g, 3, PPLConfig(samples=20), seed=0)
+        path = str(tmp_path / "g.npz")
+        save_checkpoint(g, path)
+        assert main(["eval", "--checkpoint", path, "--ppl-samples", "20", "--act-base", "4",
+                     "--act-sweep", "2", "--hess-samples", "2",
+                     "--out", str(tmp_path / "ev")]) == 2

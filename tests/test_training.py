@@ -19,6 +19,7 @@ from hesskit.training import (
     train,
     warmup_weight,
 )
+from seeded_runs import train_all
 
 
 def strip_clock(records):
@@ -374,24 +375,34 @@ def test_signed_permutation_score_identity():
     assert perm == [0, 1, 2]
 
 
+def test_pool_runs_equal_in_process_runs():
+    # the slow tests train on a spawn pool with one BLAS thread per child
+    configs = [TrainConfig(mode="reconstruction", dataset="2factor", latent_dim=3, steps=12,
+                           batch_size=8, dataset_size=64, penalty_weight=lam, warmup_steps=4,
+                           penalty=PenaltyConfig(taps=("norm1", "output")), seed=seed)
+               for seed, lam in ((0, 0.1), (1, 0.0))]
+    for config, run in zip(configs, train_all(configs)):
+        expected = train(config)
+        assert [p.values.tobytes() for p in run.generator.parameters()] == \
+            [p.values.tobytes() for p in expected.generator.parameters()]
+        assert run.dataset.observations.tobytes() == expected.dataset.observations.tobytes()
+
+
 @pytest.mark.slow
 def test_shrinkage_invariant_on_two_factor_data():
     # overparameterized latent space (6 components, 2 true factors): penalty
     # runs deactivate at least two components in >= 4 of 5 seeds; lambda = 0
     # baselines never show that gap
     taps = ("norm1", "norm2", "output")
+    runs = [(tag, seed, TrainConfig(
+        mode="reconstruction", dataset="2factor", latent_dim=6, steps=2500,
+        batch_size=16, dataset_size=1024, penalty_weight=lam, warmup_steps=500,
+        penalty=PenaltyConfig(epsilon=0.1, k=2, reduction="max", taps=taps, seed=0),
+        seed=seed,
+    )) for tag, lam in (("penalty", 0.1), ("baseline", 0.0)) for seed in range(5)]
     counts = {"penalty": [], "baseline": []}
-    for tag, lam in (("penalty", 0.1), ("baseline", 0.0)):
-        for seed in range(5):
-            cfg = TrainConfig(
-                mode="reconstruction", dataset="2factor", latent_dim=6, steps=2500,
-                batch_size=16, dataset_size=1024, penalty_weight=lam, warmup_steps=500,
-                penalty=PenaltyConfig(epsilon=0.1, k=2, reduction="max", taps=taps, seed=0),
-                seed=seed,
-            )
-            result = train(cfg)
-            act = activeness_profile(result.generator, 6, n_base=24, n_sweep=12,
-                                     seed=900 + seed)
-            counts[tag].append(int(np.sum(act < 0.1 * act.max())))
+    for (tag, seed, _), result in zip(runs, train_all([cfg for *_, cfg in runs])):
+        act = activeness_profile(result.generator, 6, n_base=24, n_sweep=12, seed=900 + seed)
+        counts[tag].append(int(np.sum(act < 0.1 * act.max())))
     assert sum(c >= 2 for c in counts["penalty"]) >= 4, counts
     assert sum(c >= 2 for c in counts["baseline"]) == 0, counts
