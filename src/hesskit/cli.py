@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 
@@ -32,7 +31,7 @@ from .autodiff import no_grad
 from .data import SPEC_NAMES, dataset_from_manifest, dataset_spec, export_dataset, \
     sample_dataset
 from .errors import ContractViolation, NumericError
-from .files import overwrite
+from .files import prune, write_json, write_jsonl
 from .functions import FUNCTION_NAMES, QuadraticForm, get_function
 from .metrics import PPLConfig, _mean_se, activeness_profile, ppl
 from .nets import Generator, default_taps, load_checkpoint, save_checkpoint
@@ -69,14 +68,18 @@ _FUNCTION = {
     "fn-seed": (int, 0, "seed for seeded built-ins (rotated-separable)"),
 }
 _BETA = (float, 1.0, "scale for beta-cubic")
+# the penalty settings that estimate, train and directions share
+_PENALTY = {
+    "eps": (float, 0.1, "penalty finite-difference step"),
+    "k": (int, 2, "penalty probe count"),
+}
 
 _OPTIONS = {
     "estimate": {
         **_FUNCTION,
         "beta": _BETA,
         "z": (str, None, "comma-separated evaluation point (default: zeros)"),
-        "eps": (float, 0.1, "finite-difference step"),
-        "k": (int, 2, "probe count"),
+        **_PENALTY,
         "reduction": (str, "max", "max | mean over output components"),
         "taps": (str, "output", "output | auto | comma-separated tap names"),
         "repeat": (int, 0, "extra independent trials for a mean/SE report"),
@@ -105,8 +108,7 @@ _OPTIONS = {
         "warmup": (int, 500, "linear warm-up horizon in steps"),
         "lr-g": (float, 1e-3, "generator learning rate"),
         "lr-d": (float, 1e-3, "discriminator learning rate"),
-        "eps": (float, 0.1, "penalty finite-difference step"),
-        "k": (int, 2, "penalty probe count"),
+        **_PENALTY,
         "reduction": (str, "max", "penalty reduction"),
         "taps": (str, "auto", "output | auto | comma-separated tap names"),
         "resume": (str, None, "generator checkpoint to fine-tune from"),
@@ -118,8 +120,7 @@ _OPTIONS = {
         "steps": (int, 2000, "optimization steps"),
         "lr": (float, 0.01, "learning rate"),
         "eta-range": (float, 5.0, "shift scale is uniform on [-eta-range, eta-range]"),
-        "eps": (float, 0.1, "penalty finite-difference step"),
-        "k": (int, 2, "penalty probe count"),
+        **_PENALTY,
     },
     "eval": {
         **_FUNCTION,
@@ -208,29 +209,9 @@ def _out_dir(cfg: dict, command: str) -> str:
     return out
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
-
-
-def _write_json(path: str, payload) -> None:
-    overwrite(path, json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n")
-
-
-def _write_jsonl(path: str, records) -> None:
-    overwrite(path, "".join(json.dumps(_jsonable(r), sort_keys=True) + "\n" for r in records))
-
-
 def _write_config(out: str, command: str, cfg: dict) -> None:
     effective = {k: v for k, v in cfg.items() if k != "out"}
-    _write_json(os.path.join(out, "config.json"), {
+    write_json(os.path.join(out, "config.json"), {
         "command": command,
         "version": __version__,
         "config": effective,
@@ -296,7 +277,7 @@ def _cmd_estimate(cfg: dict, out: str) -> int:
     # values only: a record of the forwards would keep every block's activations alive
     with no_grad():
         report = _estimate_report(fn, z, pconf, repeat, cfg["seed"])
-    _write_json(os.path.join(out, "reports", "estimate.json"), report)
+    write_json(os.path.join(out, "reports", "estimate.json"), report)
     print(f"penalty estimate: {report['value']:.6g}")
     return 0
 
@@ -386,7 +367,7 @@ def _cmd_verify(cfg: dict, out: str) -> int:
                    "z_score": zscore, "within_3_se": ok})
 
     passed = identity_ok and mc_ok
-    _write_json(os.path.join(out, "reports", "verify.json"), {
+    write_json(os.path.join(out, "reports", "verify.json"), {
         "identity": {"max_rel_error": worst_rel, "rel_tol": _REL_TOL,
                      "trials": identity_trials, "passed": identity_ok},
         "unbiasedness": {"matrices": mc, "passed": mc_ok},
@@ -427,10 +408,13 @@ def _cmd_train(cfg: dict, out: str) -> int:
         if isinstance(discriminator, Generator):
             raise ContractViolation(f"{cfg['resume-disc']} is not a discriminator checkpoint")
     result = train(tconf, dataset=dataset, generator=generator, discriminator=discriminator)
-    _write_jsonl(os.path.join(out, "log.jsonl"), result.log.records)
-    save_checkpoint(result.generator, os.path.join(out, "checkpoints", "generator.npz"))
+    write_jsonl(os.path.join(out, "log.jsonl"), result.log.records)
+    checkpoints = os.path.join(out, "checkpoints")
+    save_checkpoint(result.generator, os.path.join(checkpoints, "generator.npz"))
     if result.discriminator is not None:
-        save_checkpoint(result.discriminator, os.path.join(out, "checkpoints", "discriminator.npz"))
+        save_checkpoint(result.discriminator, os.path.join(checkpoints, "discriminator.npz"))
+    else:  # an earlier adversarial run's discriminator is not this run's
+        prune(checkpoints, ())
     summary = {
         "mode": tconf.mode,
         "steps": tconf.steps,
@@ -440,7 +424,7 @@ def _cmd_train(cfg: dict, out: str) -> int:
     }
     if result.log.records:
         summary["final"] = {k: v for k, v in result.log.records[-1].items() if k != "wall_clock"}
-    _write_json(os.path.join(out, "reports", "summary.json"), summary)
+    write_json(os.path.join(out, "reports", "summary.json"), summary)
     print(f"trained {tconf.steps} steps ({tconf.mode}); artifacts in {out}")
     return 0
 
@@ -453,9 +437,9 @@ def _cmd_directions(cfg: dict, out: str) -> int:
         fn, n_directions, cfg["steps"], seed=cfg["seed"], learning_rate=cfg["lr"],
         eta_range=cfg["eta-range"], config=pconf,
     )
-    _write_jsonl(os.path.join(out, "log.jsonl"), log.records)
+    write_jsonl(os.path.join(out, "log.jsonl"), log.records)
     penalties = log.values("penalty")
-    _write_json(os.path.join(out, "reports", "directions.json"), {
+    write_json(os.path.join(out, "reports", "directions.json"), {
         "directions": matrix.matrix,
         "n_directions": matrix.n_directions,
         "ortho_residual": matrix.ortho_residual(),
@@ -481,7 +465,7 @@ def _cmd_eval(cfg: dict, out: str) -> int:
     act = activeness_profile(fn, dim, n_base=cfg["act-base"], n_sweep=cfg["act-sweep"],
                              seed=seed)
     ppl_result = ppl(fn, dim, pconf, seed=seed)
-    _write_json(os.path.join(out, "reports", "metrics.json"), {
+    write_json(os.path.join(out, "reports", "metrics.json"), {
         "seed": seed,
         "config": {k: v for k, v in cfg.items() if k != "out"},
         "activeness": act,
@@ -507,7 +491,7 @@ def _cmd_hessdump(cfg: dict, out: str) -> int:
     sets = hessian_sets_for(fn, zs, cfg["eps"])
     diag = diagonality_metrics(sets)
     index = export_hessian_heatmaps(sets, os.path.join(out, "heatmaps"), top=cfg.get("top"))
-    _write_json(os.path.join(out, "reports", "hessians.json"), {
+    write_json(os.path.join(out, "reports", "hessians.json"), {
         "points": zs,
         "epsilon": cfg["eps"],
         "matrices": diag.count,
@@ -551,10 +535,7 @@ def main(argv=None) -> int:
         # print ahead of the one error line
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return _HANDLERS[args.command](cfg, out)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ContractViolation as exc:
+    except (_UsageError, ContractViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericError as exc:

@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ContractViolation
-from .files import overwrite
+from .files import prune, write_csv, write_json, write_netpbm
 
 SEMANTICS = ("x-position", "y-position", "hue", "size")
 _ATTRS = ("x", "y", "hue", "size")
@@ -229,28 +229,21 @@ SPEC_NAMES = ("simple-4factor", "complex-2object", "1fov", "2factor")
 
 def export_dataset(dataset: Dataset, path: str) -> None:
     """Write manifest + factor CSV + one binary pixmap per sample."""
-    os.makedirs(os.path.join(path, "samples"), exist_ok=True)
-    manifest = {
+    write_json(os.path.join(path, "manifest.json"), {
         "format": "dataset",
         "version": DATASET_VERSION,
         "spec": dataset.spec.to_dict(),
         "seed": dataset.seed,
         "count": dataset.count,
-    }
-    overwrite(os.path.join(path, "manifest.json"),
-              json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    overwrite(os.path.join(path, "factors.csv"), ",".join(dataset.spec.factor_names) + "\n"
-              + "".join(",".join(repr(float(v)) for v in row) + "\n" for row in dataset.factors))
-    side = dataset.spec.side
-    for i, obs in enumerate(dataset.observations):
-        _write_ppm(os.path.join(path, "samples", f"sample_{i:06d}.ppm"),
-                   obs.reshape(side, side, 3))
-
-
-def _write_ppm(path: str, img: np.ndarray) -> None:
-    pixels = np.clip(np.rint((img + 1.0) * 127.5), 0, 255).astype(np.uint8)
-    header = f"P6\n{img.shape[1]} {img.shape[0]}\n255\n".encode("ascii")
-    overwrite(path, header + pixels.tobytes())
+    })
+    write_csv(os.path.join(path, "factors.csv"), dataset.factors,
+              header=",".join(dataset.spec.factor_names) + "\n")
+    side, samples = dataset.spec.side, os.path.join(path, "samples")
+    written = [os.path.join(samples, f"sample_{i:06d}.ppm") for i in range(dataset.count)]
+    for name, obs in zip(written, dataset.observations):
+        img = obs.reshape(side, side, 3)
+        write_netpbm(name, np.clip(np.rint((img + 1.0) * 127.5), 0, 255).astype(np.uint8))
+    prune(samples, written)
 
 
 def dataset_from_manifest(path: str) -> Dataset:

@@ -102,13 +102,12 @@ class ScaledCubic(SeparablePolynomial):
         super().__init__(np.full(dim, self.beta))
 
 
-def _rotation(dim: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    q, r = np.linalg.qr(rng.normal(size=(dim, dim)))
-    q = q * np.sign(np.diag(r))
-    if np.linalg.det(q) < 0.0:
-        q[:, -1] = -q[:, -1]
-    return q
+def random_orthogonal(rows: int, cols: int, rng) -> np.ndarray:
+    """Matrix with orthonormal columns, sign-fixed so it is unique per draw."""
+    if cols > rows:
+        raise ContractViolation(f"cannot fit {cols} orthonormal columns in dimension {rows}")
+    q, r = np.linalg.qr(rng.normal(size=(rows, cols)))
+    return q * np.sign(np.diag(r))
 
 
 class RotatedSeparable:
@@ -128,7 +127,9 @@ class RotatedSeparable:
             raise ContractViolation("dim must be >= 2")
         self.input_dim = dim
         self.output_dim = dim
-        self.rotation = _rotation(dim, seed)
+        self.rotation = random_orthogonal(dim, dim, np.random.default_rng(seed))
+        if np.linalg.det(self.rotation) < 0.0:  # a proper rotation
+            self.rotation[:, -1] = -self.rotation[:, -1]
         self._r = ad.Tensor(self.rotation)
 
     def __call__(self, z) -> ad.Tensor:

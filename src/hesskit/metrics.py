@@ -34,13 +34,13 @@ method, reduce their outputs as before.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .errors import ContractViolation, DegeneracyError, NumericError
-from .penalty import forward_values, row_blocks
+from .penalty import evaluate_with_taps, forward_values, row_blocks
 
 _PARALLEL_EPS = 1e-6
 
@@ -74,14 +74,7 @@ class PPLResult:
     alpha: float
 
     def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "std_error": self.std_error,
-            "samples": self.samples,
-            "skipped": self.skipped,
-            "alpha": self.alpha,
-            "distance": "squared-l2",
-        }
+        return {**asdict(self), "distance": "squared-l2"}
 
 
 def slerp(a, b, alpha: float) -> np.ndarray:
@@ -96,16 +89,27 @@ def slerp(a, b, alpha: float) -> np.ndarray:
     b = np.asarray(b, dtype=np.float64).reshape(-1)
     if a.shape != b.shape:
         raise ContractViolation(f"slerp: shapes {a.shape} and {b.shape} differ")
-    na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
+    if np.linalg.norm(a) == 0.0 or np.linalg.norm(b) == 0.0:
         raise ContractViolation("slerp: inputs must be nonzero")
-    omega = float(np.arccos(np.clip(a @ b / (na * nb), -1.0, 1.0)))
-    if omega > np.pi - _PARALLEL_EPS:
+    rows, ok = _slerp_rows(a[None], b[None], alpha)
+    if not ok[0]:
         raise DegeneracyError("slerp: antiparallel inputs")
-    if omega < _PARALLEL_EPS:
-        return (1.0 - alpha) * a + alpha * b
-    s = np.sin(omega)
-    return np.sin((1.0 - alpha) * omega) / s * a + np.sin(alpha * omega) / s * b
+    return rows[0]
+
+
+def _slerp_rows(a: np.ndarray, b: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`slerp` of each row of ``a`` toward the same row of ``b``, and ``ok``,
+    false where either row is zero or the pair is antiparallel (that row is not
+    an interpolant)."""
+    na, nb = np.linalg.norm(a, axis=1), np.linalg.norm(b, axis=1)
+    nonzero = (na != 0.0) & (nb != 0.0)
+    cosw = np.einsum("ij,ij->i", a, b) / np.where(nonzero, na * nb, 1.0)
+    omega = np.arccos(np.clip(cosw, -1.0, 1.0))
+    lerp = omega < _PARALLEL_EPS
+    s = np.sin(np.where(lerp, 1.0, omega))
+    ca = np.where(lerp, 1.0 - alpha, np.sin((1.0 - alpha) * omega) / s)
+    cb = np.where(lerp, alpha, np.sin(alpha * omega) / s)
+    return ca[:, None] * a + cb[:, None] * b, nonzero & ~(omega > np.pi - _PARALLEL_EPS)
 
 
 def _blocks(fn, units: np.ndarray):
@@ -113,8 +117,9 @@ def _blocks(fn, units: np.ndarray):
     whole ``units`` (n_units, rows, n), with ``values`` shaped (units, rows, width).
 
     When ``fn.head_gram()`` gives ``(tap, W Wᵀ)``, the values are ``tanh`` of that
-    tap, read through ``fn(z, (tap,))``, and a difference of them times ``W`` is the
-    difference of the outputs; otherwise they are the outputs and ``gram`` is None.
+    tap, read through ``evaluate_with_taps(fn, z, (tap,))``, and a difference of them
+    times ``W`` is the difference of the outputs; otherwise they are the outputs and
+    ``gram`` is None.
     Either way the blocks are sized by the output width, as for the outputs.
     """
     tap, gram = (fn.head_gram() if hasattr(fn, "head_gram") else None) or (None, None)
@@ -123,8 +128,9 @@ def _blocks(fn, units: np.ndarray):
             return forward_values(fn, units[lo:hi])
     else:
         def run(lo, hi):
+            z = ad.Tensor(units[lo:hi].reshape(-1, units.shape[-1]))
             with ad.no_grad():
-                _, taps = fn(ad.Tensor(units[lo:hi].reshape(-1, units.shape[-1])), (tap,))
+                _, taps = evaluate_with_taps(fn, z, (tap,))
             t = np.tanh(taps[tap].values, out=taps[tap].values)
             return t, max(units.shape[-1], t.shape[1], fn.output_dim)
     rows = units.shape[1]
@@ -210,26 +216,14 @@ def ppl(fn, dim: int, config: PPLConfig = PPLConfig(), seed: int = 0) -> PPLResu
     z1 = rng.normal(size=(config.samples, dim))
     z2 = rng.normal(size=(config.samples, dim))
 
-    n1 = np.linalg.norm(z1, axis=1)
-    n2 = np.linalg.norm(z2, axis=1)
-    nonzero = (n1 > 0.0) & (n2 > 0.0)
-    cosw = np.einsum("ij,ij->i", z1, z2) / np.where(nonzero, n1 * n2, 1.0)
-    omega = np.arccos(np.clip(cosw, -1.0, 1.0))
-    keep = nonzero & (omega <= np.pi - _PARALLEL_EPS)
+    zs, keep = _slerp_rows(z1, z2, config.alpha)
     skipped = int(config.samples - keep.sum())
     if not np.any(keep):
         raise ContractViolation("ppl: every sampled pair was degenerate")
 
-    z1k, z2k, wk = z1[keep], z2[keep], omega[keep]
-    lerp = wk < _PARALLEL_EPS
-    s = np.sin(np.where(lerp, 1.0, wk))
-    ca = np.where(lerp, 1.0 - config.alpha, np.sin((1.0 - config.alpha) * wk) / s)
-    cb = np.where(lerp, config.alpha, np.sin(config.alpha * wk) / s)
-    zs = ca[:, None] * z1k + cb[:, None] * z2k
-
-    pairs = np.stack([z1k, zs], axis=1)  # each pair's first point, then its interpolant
+    pairs = np.stack([z1[keep], zs[keep]], axis=1)  # each pair's first point, then its interpolant
     gram, blocks = _blocks(fn, pairs)
-    d = np.empty(len(z1k))
+    d = np.empty(len(pairs))
     for i, out in blocks:
         _square_norms(np.subtract(out[:, 0], out[:, 1]), gram, out=d[i:i + len(out)])
     d /= config.alpha * config.alpha

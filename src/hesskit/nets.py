@@ -44,7 +44,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ContractViolation
-from .files import overwrite
+from .files import write_json
 from .functions import as_batch
 
 CHECKPOINT_VERSION = 1
@@ -275,22 +275,12 @@ def save_checkpoint(net, path: str) -> str:
     os.makedirs(os.path.dirname(os.path.abspath(path)) or ".", exist_ok=True)
     np.savez(path, __meta__=np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8),
              **arrays)
-    manifest = {
-        "format": "checkpoint-manifest",
-        "version": CHECKPOINT_VERSION,
-        "kind": net.kind,
-        "arch": net.arch(),
-        "parameters": [
-            {
-                "name": name,
-                "shape": list(arr.shape),
-                "sha256": hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest(),
-            }
-            for name, arr in sorted(arrays.items())
-        ],
-    }
     manifest_path = _manifest_path(path)
-    overwrite(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_json(manifest_path, {**meta, "format": "checkpoint-manifest", "parameters": [
+        {"name": name, "shape": list(arr.shape),
+         "sha256": hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()}
+        for name, arr in sorted(arrays.items())
+    ]})
     return manifest_path
 
 

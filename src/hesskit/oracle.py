@@ -9,15 +9,14 @@ share code with the stochastic path they validate.
 
 from __future__ import annotations
 
-import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import ContractViolation, NumericError
-from .files import overwrite
+from .files import prune, write_csv, write_json, write_netpbm
 from .penalty import _check_epsilon, exact_offdiag_penalty, forward_values, row_blocks
 
 ENUMERATION_LIMIT = 20
@@ -61,12 +60,8 @@ class DiagonalityReport:
         return math.isinf(self.d_ratio)
 
     def to_dict(self) -> dict:
-        return {
-            "d_percent": self.d_percent,
-            "d_ratio": None if math.isinf(self.d_ratio) else self.d_ratio,
-            "count": self.count,
-            "offdiag_all_zero": self.offdiag_all_zero,
-        }
+        return {**asdict(self), "d_ratio": None if math.isinf(self.d_ratio) else self.d_ratio,
+                "offdiag_all_zero": self.offdiag_all_zero}
 
 
 def exact_hessian_fd(fn, z, epsilon: float) -> HessianSet:
@@ -223,40 +218,22 @@ def export_hessian_heatmaps(hessians, path, top: int | None = None) -> list[dict
             raise ContractViolation(f"top must be >= 1, got {top}")
         order = order[:top]
 
-    os.makedirs(path, exist_ok=True)
     index = []
     for rank, comp in enumerate(order):
         comp = int(comp)
         which = np.searchsorted(starts, comp, side="right") - 1
         matrix = stacks[which][comp - starts[which]]
         stem = f"hessian_{comp:05d}"
-        csv_path = os.path.join(path, stem + ".csv")
-        pgm_path = os.path.join(path, stem + ".pgm")
-        _write_csv(csv_path, matrix)
-        _write_pgm(pgm_path, matrix)
-        index.append(
-            {
-                "rank": rank,
-                "component": comp,
-                "offdiag_penalty": float(penalties[comp]),
-                "csv": os.path.basename(csv_path),
-                "pixmap": os.path.basename(pgm_path),
-            }
-        )
-    overwrite(os.path.join(path, "index.json"), json.dumps(index, indent=2, sort_keys=True) + "\n")
+        write_csv(os.path.join(path, stem + ".csv"), matrix)
+        lo, hi = float(matrix.min()), float(matrix.max())
+        if hi > lo:
+            norm = (matrix - lo) / (hi - lo)
+            pixels = np.clip(np.rint(norm * 255.0), 0, 255).astype(np.uint8)
+        else:
+            pixels = np.full(matrix.shape, 128, dtype=np.uint8)  # degenerate range guard
+        write_netpbm(os.path.join(path, stem + ".pgm"), pixels)
+        index.append({"rank": rank, "component": comp, "offdiag_penalty": float(penalties[comp]),
+                      "csv": stem + ".csv", "pixmap": stem + ".pgm"})
+    write_json(os.path.join(path, "index.json"), index)
+    prune(path, [entry[key] for entry in index for key in ("csv", "pixmap")])
     return index
-
-
-def _write_csv(path: str, matrix: np.ndarray) -> None:
-    overwrite(path, "".join(",".join(repr(float(v)) for v in row) + "\n" for row in matrix))
-
-
-def _write_pgm(path: str, matrix: np.ndarray) -> None:
-    lo, hi = float(matrix.min()), float(matrix.max())
-    if hi > lo:
-        norm = (matrix - lo) / (hi - lo)
-        pixels = np.clip(np.rint(norm * 255.0), 0, 255).astype(np.uint8)
-    else:
-        pixels = np.full(matrix.shape, 128, dtype=np.uint8)  # degenerate range guard
-    header = f"P5\n{matrix.shape[1]} {matrix.shape[0]}\n255\n".encode("ascii")
-    overwrite(path, header + pixels.tobytes())

@@ -41,6 +41,7 @@ import numpy as np
 from . import autodiff as ad
 from .data import Dataset, dataset_spec, sample_dataset
 from .errors import ContractViolation, DegeneracyError, NumericError
+from .functions import random_orthogonal
 from .nets import Discriminator, Generator, frozen
 from .penalty import PenaltyConfig, hessian_penalty_estimate
 
@@ -231,16 +232,17 @@ class Trainer:
             self._latents = dataset.latents(config.latent_dim)
         self.log = TrainLog()
 
-    def _update_generator(self, loss: ad.Tensor, z: np.ndarray, lam_t: float):
-        """One generator step on ``loss + lam_t * penalty`` at ``z``; returns the penalty,
-        which at ``lam_t = 0`` is drawn off the record and left out of the loss."""
+    def _update_generator(self, loss: ad.Tensor, z: np.ndarray, lam_t: float) -> dict:
+        """One generator step on ``loss + lam_t * penalty`` at ``z``; returns the step
+        record's penalty fields. At ``lam_t = 0`` the penalty is drawn off the record
+        and left out of the loss."""
         with contextlib.nullcontext() if lam_t else ad.no_grad():
             penalty = hessian_penalty_estimate(self.generator, z, self.penalty_config,
                                                rng=self._probe_rng)
         self.opt_g.zero_grad()
         ad.backward(loss + penalty.scalar * lam_t if lam_t else loss)
         self.opt_g.step()
-        return penalty
+        return {"penalty": penalty.value, "lambda_t": lam_t, "wall_clock": time.time()}
 
     def gan_step(self, real_batch: np.ndarray, t: int) -> dict:
         """Discriminator update on the unchanged adversarial objective, then
@@ -261,16 +263,8 @@ class Trainer:
         with frozen(d):  # gradients flow through D into G, not into D
             out, _ = g(z_g)
             adv = ad.softplus(-d(out)).mean()
-            penalty = self._update_generator(adv, z_g, lam_t)
-
-        return {
-            "step": t,
-            "d_loss": d_loss.item(),
-            "g_adv": adv.item(),
-            "penalty": penalty.value,
-            "lambda_t": lam_t,
-            "wall_clock": time.time(),
-        }
+            update = self._update_generator(adv, z_g, lam_t)
+        return {"step": t, "d_loss": d_loss.item(), "g_adv": adv.item(), **update}
 
     def reconstruction_step(self, batch_idx: np.ndarray, t: int) -> dict:
         """Generator update on mean squared reconstruction error + lambda_t * penalty."""
@@ -280,14 +274,8 @@ class Trainer:
         target = self.dataset.observations[batch_idx]
         out, _ = self.generator(z)
         recon = ad.square(out - target).mean()
-        penalty = self._update_generator(recon, z, lam_t)
-        return {
-            "step": t,
-            "recon_loss": recon.item(),
-            "penalty": penalty.value,
-            "lambda_t": lam_t,
-            "wall_clock": time.time(),
-        }
+        update = self._update_generator(recon, z, lam_t)
+        return {"step": t, "recon_loss": recon.item(), **update}
 
     def run(self) -> TrainResult:
         cfg = self.config
@@ -320,14 +308,6 @@ def train(config: TrainConfig, dataset: Dataset | None = None,
 
 # ---------------------------------------------------------------------------
 # direction discovery
-
-
-def random_orthogonal(rows: int, cols: int, rng) -> np.ndarray:
-    """Matrix with orthonormal columns, sign-fixed so it is unique per draw."""
-    if cols > rows:
-        raise ContractViolation(f"cannot fit {cols} orthonormal columns in dimension {rows}")
-    q, r = np.linalg.qr(rng.normal(size=(rows, cols)))
-    return q * np.sign(np.diag(r))
 
 
 def gram_schmidt(matrix) -> np.ndarray:

@@ -182,6 +182,71 @@ def test_data_export(tmp_path):
     assert len(os.listdir(os.path.join(out, "samples"))) == 5
 
 
+def test_train_flags_set_both_nets_and_resume_them(tmp_path, capsys):
+    flags = {"hidden-width": 24, "hidden-layers": 2, "disc-width": 12, "disc-layers": 1,
+             "lr-g": 0.002, "lr-d": 0.0005}
+    args = ["train", "--mode", "gan", "--dataset", "1fov", "--latent-dim", "2",
+            "--batch-size", "4", "--dataset-size", "32", "--hidden-layers", "2"]
+    out = str(tmp_path / "gan")
+    assert main(args + [f"--{k}={v}" for k, v in flags.items()] + ["--steps", "3",
+                                                                   "--out", out]) == 0
+    assert {k: read_json(os.path.join(out, "config.json"))["config"][k] for k in flags} == flags
+    gen, disc = (os.path.join(out, "checkpoints", f"{kind}.npz")
+                 for kind in ("generator", "discriminator"))
+    arch = {path: read_json(path[:-4] + ".manifest.json")["arch"] for path in (gen, disc)}
+    assert {k: v for k, v in arch[gen].items() if k != "seed"} == \
+        {"latent_dim": 2, "output_dim": 768, "hidden_width": 24, "hidden_layers": 2}
+    assert {k: v for k, v in arch[disc].items() if k != "seed"} == \
+        {"input_dim": 768, "hidden_width": 12, "hidden_layers": 1}
+    resumed = str(tmp_path / "resumed")  # no steps: both nets come back as loaded
+    assert main(args + ["--steps", "0", "--resume", gen, "--resume-disc", disc,
+                        "--out", resumed]) == 0
+    for path in (gen, disc):
+        again = load_checkpoint(os.path.join(resumed, "checkpoints", os.path.basename(path)))
+        assert again.arch() == arch[path]
+        for a, b in zip(again.parameters(), load_checkpoint(path).parameters(), strict=True):
+            assert np.array_equal(a.values, b.values)
+    capsys.readouterr()
+    assert main(args + ["--steps", "1", "--resume-disc", gen,
+                        "--out", str(tmp_path / "bad")]) == 1
+    assert "is not a discriminator checkpoint" in capsys.readouterr().err
+
+
+def test_train_rerun_removes_an_earlier_runs_discriminator(tmp_path):
+    out = str(tmp_path / "tr")
+    args = ["train", "--dataset", "1fov", "--latent-dim", "2", "--steps", "2",
+            "--batch-size", "4", "--dataset-size", "32", "--out", out]
+    checkpoints = os.path.join(out, "checkpoints")
+    assert main(args + ["--mode", "gan"]) == 0
+    assert "discriminator.npz" in os.listdir(checkpoints)
+    assert main(args + ["--mode", "reconstruction"]) == 0
+    assert sorted(os.listdir(checkpoints)) == ["generator.manifest.json", "generator.npz"]
+
+
+def test_hessdump_rerun_removes_heatmaps_it_did_not_write(tmp_path):
+    out = str(tmp_path / "hd")
+    args = ["hessdump", "--fn", "rotated-separable", "--samples", "1", "--out", out]
+    heatmaps = os.path.join(out, "heatmaps")
+    assert main(args) == 0
+    assert len(os.listdir(heatmaps)) == 9
+    overwrite(os.path.join(heatmaps, "notes.txt"), "not a heatmap")
+    assert main(args + ["--top", "1"]) == 0
+    [entry] = read_json(os.path.join(heatmaps, "index.json"))
+    assert sorted(os.listdir(heatmaps)) == [entry["csv"], entry["pixmap"], "index.json",
+                                            "notes.txt"]
+
+
+def test_data_rerun_removes_samples_it_did_not_write(tmp_path):
+    out = str(tmp_path / "ds")
+    samples = os.path.join(out, "samples")
+    assert main(["data", "--spec", "1fov", "--n", "5", "--out", out]) == 0
+    overwrite(os.path.join(samples, "notes.txt"), "not a sample")
+    assert main(["data", "--spec", "1fov", "--n", "2", "--out", out]) == 0
+    assert read_json(os.path.join(out, "manifest.json"))["count"] == 2
+    assert sorted(os.listdir(samples)) == ["notes.txt", "sample_000000.ppm",
+                                           "sample_000001.ppm"]
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("k = 4\nseed = 5  # comment\neps = 0.2\n")

@@ -82,3 +82,22 @@ def test_tracer_sees_every_off_record_generator_block_of_ppl():
     assert sums["nets.generator_calls"] == len(blocks) > 2
     assert sums["nets.generator_rows"] == 2 * samples
     assert sums["autodiff.primitive_calls"] == 0  # the kernel runs no primitive
+
+
+def test_tracer_counts_the_activeness_calls_of_the_gram_path():
+    generator = hesskit.Generator(seed=0)
+    tracer = load_tracer_module().Tracer(hesskit)
+    try:
+        tracer.install()
+        root = tracer.begin("op2", 0)
+        hesskit.metrics.activeness_profile(generator, 6)
+        hesskit.metrics.ppl(generator, 6, PPLConfig(samples=600))
+        tracer.finish(root)
+    finally:
+        tracer.uninstall()
+    sums = tracer.sums_per_op()[0]
+    # one call per block of whole sweeps: 384 sweeps of 16 rows, 768 outputs wide
+    sweeps = list(row_blocks(6 * 64, 16, lambda lo, hi: ((lo, hi), 768)))
+    assert sums["metrics.activeness_calls"] == len(sweeps) == 40
+    pairs = list(row_blocks(600, 2, lambda lo, hi: ((lo, hi), 768)))
+    assert sums["nets.generator_calls"] == len(sweeps) + len(pairs)

@@ -60,7 +60,9 @@ CALLS = [
     ("directions-rotated", ["directions", "--fn", "rotated-separable", "--steps", "200"]),
     ("eval-ckpt", ["eval", "--checkpoint", CKPT]),
     ("eval-beta", ["eval", "--fn", "beta-cubic"]),
+    ("eval-rotated", ["eval", "--fn", "rotated-separable"]),
     ("hessdump", ["hessdump", "--checkpoint", CKPT, "--samples", "2", "--top", "4"]),
+    ("hessdump-rotated", ["hessdump", "--fn", "rotated-separable", "--samples", "2"]),
     ("data", ["data"]),
 ]
 
