@@ -19,12 +19,11 @@ from .autodiff import (
 )
 from .data import Dataset, Factor, FactorSpec, dataset_spec, render, sample_dataset
 from .errors import ContractViolation, DegeneracyError, NumericError, ToolkitError
-from .functions import FUNCTION_NAMES, get_function
+from .functions import FUNCTION_NAMES, get_function, gram_schmidt
 from .metrics import PPLConfig, PPLResult, activeness, activeness_profile, ppl, slerp
 from .nets import Discriminator, Generator, load_checkpoint, save_checkpoint
 from .oracle import (
     DiagonalityReport,
-    HessianSet,
     diagonality_metrics,
     enumerate_variance,
     exact_hessian_fd,
@@ -47,7 +46,6 @@ from .training import (
     TrainResult,
     Trainer,
     discover_directions,
-    gram_schmidt,
     signed_permutation_score,
     train,
     warmup_weight,
@@ -68,7 +66,6 @@ __all__ = [
     "FUNCTION_NAMES",
     "Generator",
     "GradientCheckReport",
-    "HessianSet",
     "NumericError",
     "PPLConfig",
     "PPLResult",

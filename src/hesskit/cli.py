@@ -34,9 +34,9 @@ from .errors import ContractViolation, NumericError
 from .files import prune, write_json, write_jsonl
 from .functions import FUNCTION_NAMES, QuadraticForm, get_function
 from .metrics import PPLConfig, _mean_se, activeness_profile, ppl
-from .nets import Generator, default_taps, load_checkpoint, save_checkpoint
-from .oracle import diagonality_metrics, enumerate_variance, export_hessian_heatmaps, \
-    hessian_sets_for
+from .nets import default_taps, load_checkpoint, save_checkpoint
+from .oracle import ENUMERATION_LIMIT, diagonality_metrics, enumerate_variance, \
+    export_hessian_heatmaps, hessian_sets_for
 from .penalty import PenaltyConfig, exact_offdiag_penalty, hessian_penalty_estimate
 from .training import TrainConfig, discover_directions, train
 
@@ -53,6 +53,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{message}\n{self.format_usage()}")
 
 
+def int64(text: str) -> int:
+    """A size or count option: an integer that fits numpy's signed 64-bit sizes."""
+    value = int(text)
+    if not -(1 << 63) <= value < 1 << 63:
+        raise ValueError(f"{text} does not fit in 64 bits")
+    return value
+
+
 # option tables: name -> (type, default, help); None defaults are resolved later
 _COMMON = {
     "out": (str, None, "output directory (default: $HESSKIT_OUTPUT_ROOT/<command> or runs/<command>)"),
@@ -64,14 +72,14 @@ _COMMON = {
 _FUNCTION = {
     "checkpoint": (str, None, "generator checkpoint (.npz) instead of --fn"),
     "fn": (str, None, f"built-in function: {', '.join(FUNCTION_NAMES)}"),
-    "dim": (int, None, "dimension override for built-ins that allow it"),
+    "dim": (int64, None, "dimension override for built-ins that allow it"),
     "fn-seed": (int, 0, "seed for seeded built-ins (rotated-separable)"),
 }
 _BETA = (float, 1.0, "scale for beta-cubic")
 # the penalty settings that estimate, train and directions share
 _PENALTY = {
     "eps": (float, 0.1, "penalty finite-difference step"),
-    "k": (int, 2, "penalty probe count"),
+    "k": (int64, 2, "penalty probe count"),
 }
 
 _OPTIONS = {
@@ -82,30 +90,30 @@ _OPTIONS = {
         **_PENALTY,
         "reduction": (str, "max", "max | mean over output components"),
         "taps": (str, "output", "output | auto | comma-separated tap names"),
-        "repeat": (int, 0, "extra independent trials for a mean/SE report"),
+        "repeat": (int64, 0, "extra independent trials for a mean/SE report"),
     },
     "verify": {
         "dims": (str, "2..12", "dimension range for the enumeration identity"),
-        "trials": (int, 50, "random matrices for the enumeration identity"),
-        "mc-matrices": (int, 5, "matrices for the unbiasedness Monte-Carlo"),
-        "mc-dim": (int, 8, "dimension for the unbiasedness Monte-Carlo"),
-        "mc-trials": (int, 200000, "trials per matrix (at least 30)"),
+        "trials": (int64, 50, "random matrices for the enumeration identity"),
+        "mc-matrices": (int64, 5, "matrices for the unbiasedness Monte-Carlo"),
+        "mc-dim": (int64, 8, "dimension for the unbiasedness Monte-Carlo"),
+        "mc-trials": (int64, 200000, "trials per matrix (at least 30)"),
         "eps": (float, 0.1, "finite-difference step"),
     },
     "train": {
         "mode": (str, "gan", "gan | reconstruction | baseline"),
         "dataset": (str, "simple-4factor",
                     f"dataset spec ({', '.join(SPEC_NAMES)}) or path to an exported manifest"),
-        "latent-dim": (int, 6, "latent dimension"),
-        "hidden-width": (int, 64, "generator hidden width"),
-        "hidden-layers": (int, 3, "generator hidden layers"),
-        "disc-width": (int, 64, "discriminator hidden width"),
-        "disc-layers": (int, 2, "discriminator hidden layers"),
-        "steps": (int, 1000, "training steps"),
-        "batch-size": (int, 16, "batch size"),
-        "dataset-size": (int, 2048, "samples drawn for the run"),
+        "latent-dim": (int64, 6, "latent dimension"),
+        "hidden-width": (int64, 64, "generator hidden width"),
+        "hidden-layers": (int64, 3, "generator hidden layers"),
+        "disc-width": (int64, 64, "discriminator hidden width"),
+        "disc-layers": (int64, 2, "discriminator hidden layers"),
+        "steps": (int64, 1000, "training steps"),
+        "batch-size": (int64, 16, "batch size"),
+        "dataset-size": (int64, 2048, "samples drawn for the run"),
         "penalty-weight": (float, 0.1, "penalty loss weight (lambda)"),
-        "warmup": (int, 500, "linear warm-up horizon in steps"),
+        "warmup": (int64, 500, "linear warm-up horizon in steps"),
         "lr-g": (float, 1e-3, "generator learning rate"),
         "lr-d": (float, 1e-3, "discriminator learning rate"),
         **_PENALTY,
@@ -116,8 +124,8 @@ _OPTIONS = {
     },
     "directions": {
         **_FUNCTION,
-        "directions": (int, None, "number of directions (default: latent dim)"),
-        "steps": (int, 2000, "optimization steps"),
+        "directions": (int64, None, "number of directions (default: latent dim)"),
+        "steps": (int64, 2000, "optimization steps"),
         "lr": (float, 0.01, "learning rate"),
         "eta-range": (float, 5.0, "shift scale is uniform on [-eta-range, eta-range]"),
         **_PENALTY,
@@ -125,24 +133,24 @@ _OPTIONS = {
     "eval": {
         **_FUNCTION,
         "beta": _BETA,
-        "ppl-samples": (int, 10000, "path-length sample pairs"),
+        "ppl-samples": (int64, 10000, "path-length sample pairs"),
         "alpha": (float, 1e-4, "path-length interpolation step"),
-        "act-base": (int, 64, "activeness base latents"),
-        "act-sweep": (int, 16, "activeness sweep samples per base"),
-        "hess-samples": (int, 8, "points for exact-Hessian diagonality"),
+        "act-base": (int64, 64, "activeness base latents"),
+        "act-sweep": (int64, 16, "activeness sweep samples per base"),
+        "hess-samples": (int64, 8, "points for exact-Hessian diagonality"),
         "hess-eps": (float, 1e-3, "exact-Hessian finite-difference step"),
     },
     "hessdump": {
         **_FUNCTION,
         "beta": _BETA,
         "z": (str, None, "comma-separated point; omit to sample from the prior"),
-        "samples": (int, 1, "points sampled from the prior when --z is omitted"),
+        "samples": (int64, 1, "points sampled from the prior when --z is omitted"),
         "eps": (float, 1e-3, "finite-difference step"),
-        "top": (int, None, "export only the top-k components by off-diagonal penalty"),
+        "top": (int64, None, "export only the top-k components by off-diagonal penalty"),
     },
     "data": {
         "spec": (str, "simple-4factor", f"dataset spec: {', '.join(SPEC_NAMES)}"),
-        "n": (int, 256, "sample count"),
+        "n": (int64, 256, "sample count"),
     },
 }
 
@@ -236,14 +244,19 @@ def _load_function(cfg: dict):
     if cfg.get("checkpoint") and cfg.get("fn"):
         raise ContractViolation("--fn and --checkpoint are mutually exclusive")
     if cfg.get("checkpoint"):
-        net = load_checkpoint(cfg["checkpoint"])
-        if not isinstance(net, Generator):
-            raise ContractViolation("checkpoint does not contain a generator")
-        return net
+        return _load_net(cfg["checkpoint"], "generator")
     if cfg.get("fn"):
         return get_function(cfg["fn"], dim=cfg.get("dim"), beta=cfg.get("beta", 1.0),
                             seed=cfg.get("fn-seed", 0))
     raise ContractViolation("one of --fn or --checkpoint is required")
+
+
+def _load_net(path: str, kind: str):
+    """The net of checkpoint ``path``, which must be a ``kind``."""
+    net = load_checkpoint(path)
+    if net.kind != kind:
+        raise ContractViolation(f"{path} is not a {kind} checkpoint")
+    return net
 
 
 def _at_least(cfg: dict, name: str, minimum: int, why: str = "") -> int:
@@ -287,10 +300,10 @@ def _estimate_report(fn, z: np.ndarray, pconf: PenaltyConfig, repeat: int, seed:
     report = {
         "value": value.value,
         "offdiag_estimate": value.offdiag_estimate,
-        "k": value.config.k,
-        "epsilon": value.config.epsilon,
-        "reduction": value.config.reduction,
-        "taps": list(value.config.taps),
+        "k": pconf.k,
+        "epsilon": pconf.epsilon,
+        "reduction": pconf.reduction,
+        "taps": list(pconf.taps),
         "per_tap_mean": {name: float(np.mean(arr)) for name, arr in value.per_component.items()},
         "z": z,
     }
@@ -313,9 +326,13 @@ def _estimate_report(fn, z: np.ndarray, pconf: PenaltyConfig, repeat: int, seed:
 def _parse_dims(text: str) -> list[int]:
     lo, dotted, hi = text.partition("..")
     try:
-        dims = list(range(int(lo), int(hi) + 1)) if dotted else [int(p) for p in text.split(",")]
+        dims = [int(lo), int(hi)] if dotted else [int(p) for p in text.split(",")]
     except ValueError as exc:
         raise ContractViolation(f"cannot parse dimension range {text!r}") from exc
+    if max(dims) > ENUMERATION_LIMIT:  # checked before a range is built
+        raise ContractViolation(
+            f"dimension range {text!r} goes past the enumeration limit {ENUMERATION_LIMIT}")
+    dims = list(range(dims[0], dims[1] + 1)) if dotted else dims
     if not dims or min(dims) < 2:
         raise ContractViolation(f"dimension range {text!r} must start at 2")
     return dims
@@ -380,8 +397,13 @@ def _cmd_verify(cfg: dict, out: str) -> int:
 
 
 def _cmd_train(cfg: dict, out: str) -> int:
+    generator = _load_net(cfg["resume"], "generator") if cfg.get("resume") else None
+    discriminator = (_load_net(cfg["resume-disc"], "discriminator")
+                     if cfg.get("resume-disc") else None)
+    # "auto" means the trained generator's taps: a resumed one brings its own depth
+    auto = default_taps(cfg["hidden-layers"]) if generator is None else generator.default_taps
     penalty = PenaltyConfig(epsilon=cfg["eps"], k=cfg["k"], reduction=cfg["reduction"],
-                            taps=_resolve_taps(cfg["taps"], default_taps(cfg["hidden-layers"])))
+                            taps=_resolve_taps(cfg["taps"], auto))
     tconf = TrainConfig(
         mode=cfg["mode"], dataset=cfg["dataset"], latent_dim=cfg["latent-dim"],
         hidden_width=cfg["hidden-width"], hidden_layers=cfg["hidden-layers"],
@@ -398,15 +420,6 @@ def _cmd_train(cfg: dict, out: str) -> int:
                 f"--dataset {cfg['dataset']!r} is neither a built-in spec nor a manifest path"
             )
         dataset = dataset_from_manifest(cfg["dataset"])
-    generator = discriminator = None
-    if cfg.get("resume"):
-        generator = load_checkpoint(cfg["resume"])
-        if not isinstance(generator, Generator):
-            raise ContractViolation(f"{cfg['resume']} is not a generator checkpoint")
-    if cfg.get("resume-disc"):
-        discriminator = load_checkpoint(cfg["resume-disc"])
-        if isinstance(discriminator, Generator):
-            raise ContractViolation(f"{cfg['resume-disc']} is not a discriminator checkpoint")
     result = train(tconf, dataset=dataset, generator=generator, discriminator=discriminator)
     write_jsonl(os.path.join(out, "log.jsonl"), result.log.records)
     checkpoints = os.path.join(out, "checkpoints")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ContractViolation
+from .errors import ContractViolation, DegeneracyError
 
 
 def as_batch(z, dim: int) -> tuple[ad.Tensor, bool]:
@@ -102,12 +102,30 @@ class ScaledCubic(SeparablePolynomial):
         super().__init__(np.full(dim, self.beta))
 
 
-def random_orthogonal(rows: int, cols: int, rng) -> np.ndarray:
-    """Matrix with orthonormal columns, sign-fixed so it is unique per draw."""
+def gram_schmidt(matrix) -> np.ndarray:
+    """Gram-Schmidt orthonormal columns, as a QR with R's diagonal made positive.
+
+    |r_ii| is column i's norm after projection on the earlier columns; below
+    1e-10 (linearly dependent input) it raises :class:`DegeneracyError`.
+    """
+    a = np.asarray(matrix, dtype=np.float64)
+    if a.ndim != 2:
+        raise ContractViolation(f"expected a matrix, got shape {a.shape}")
+    rows, cols = a.shape
     if cols > rows:
-        raise ContractViolation(f"cannot fit {cols} orthonormal columns in dimension {rows}")
-    q, r = np.linalg.qr(rng.normal(size=(rows, cols)))
-    return q * np.sign(np.diag(r))
+        raise ContractViolation(f"cannot orthonormalize {cols} columns in dimension {rows}")
+    q, r = np.linalg.qr(a)
+    diag = np.diag(r)
+    small = np.flatnonzero(np.abs(diag) < 1e-10)
+    if small.size:
+        raise DegeneracyError(f"column {small[0]} is linearly dependent "
+                              f"(norm {abs(diag[small[0]]):.3e} after projection)")
+    return q * np.sign(diag)
+
+
+def random_orthogonal(rows: int, cols: int, rng) -> np.ndarray:
+    """Matrix with orthonormal columns: the Gram-Schmidt frame of a Gaussian draw."""
+    return gram_schmidt(rng.normal(size=(rows, cols)))
 
 
 class RotatedSeparable:

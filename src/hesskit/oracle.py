@@ -24,23 +24,6 @@ _CHUNK = 1 << 16
 
 
 @dataclass
-class HessianSet:
-    """Per-output-component Hessians of one function at one point.
-
-    ``matrices`` has shape (m, n, n); the centered-product stencil is
-    symmetric by construction, so each matrix is exactly symmetric.
-    """
-
-    matrices: np.ndarray
-    z: np.ndarray
-    epsilon: float
-
-    @property
-    def count(self) -> int:
-        return self.matrices.shape[0]
-
-
-@dataclass
 class DiagonalityReport:
     """How diagonal a collection of Hessians is.
 
@@ -64,12 +47,12 @@ class DiagonalityReport:
                 "offdiag_all_zero": self.offdiag_all_zero}
 
 
-def exact_hessian_fd(fn, z, epsilon: float) -> HessianSet:
-    """Full finite-difference Hessian of every output component at one point."""
+def exact_hessian_fd(fn, z, epsilon: float) -> np.ndarray:
+    """The (m, n, n) finite-difference Hessians of every output component at one point."""
     return hessian_sets_for(fn, np.asarray(z, dtype=np.float64).reshape(1, -1), epsilon)[0]
 
 
-def hessian_sets_for(fn, zs, epsilon: float) -> list[HessianSet]:
+def hessian_sets_for(fn, zs, epsilon: float) -> list[np.ndarray]:
     """Full finite-difference Hessians at each of S points, from stacked calls of ``fn``.
 
     Diagonal entries use the 1-D central second difference; mixed entries
@@ -78,9 +61,10 @@ def hessian_sets_for(fn, zs, epsilon: float) -> list[HessianSet]:
         [f(z+e_i+e_j) - f(z+e_i-e_j) - f(z-e_i+e_j) + f(z-e_i-e_j)] / (4 eps^2)
 
     whose truncation error is O(eps^2), so cubic test functions are
-    resolved exactly up to round-off. Each point needs P = 1 + 2n + 2n(n-1)
-    stencil rows; ``penalty.row_blocks`` stacks whole points into each call,
-    and a point's result does not depend on the others.
+    resolved exactly up to round-off; each (m, n, n) stack is exactly
+    symmetric. Each point needs P = 1 + 2n + 2n(n-1) stencil rows;
+    ``penalty.row_blocks`` stacks whole points into each call, and a
+    point's result does not depend on the others.
     """
     _check_epsilon(epsilon)
     zs = np.asarray(zs, dtype=np.float64)
@@ -110,8 +94,7 @@ def hessian_sets_for(fn, zs, epsilon: float) -> list[HessianSet]:
             raise NumericError("non-finite finite-difference Hessian")
         return h, width
 
-    return [HessianSet(matrices=mats, z=zs[lo + i], epsilon=epsilon)
-            for lo, h in row_blocks(len(zs), offsets.shape[0], run) for i, mats in enumerate(h)]
+    return [mats for _, h in row_blocks(len(zs), offsets.shape[0], run) for mats in h]
 
 
 def enumerate_variance(matrix) -> float:
@@ -184,12 +167,12 @@ def diagonality_metrics(hessians) -> DiagonalityReport:
 
 
 def _hessian_stacks(hessians) -> list[np.ndarray]:
-    """The (m, n, n) stacks of a HessianSet, an array or a non-empty iterable
-    of either; an array that is not a stack counts as one matrix."""
-    items = [hessians] if isinstance(hessians, (HessianSet, np.ndarray)) else hessians
+    """The (m, n, n) stacks of an array or a non-empty iterable of arrays; an
+    array that is not a stack counts as one matrix."""
+    items = [hessians] if isinstance(hessians, np.ndarray) else hessians
     stacks = []
     for item in items:
-        a = np.asarray(item.matrices if isinstance(item, HessianSet) else item, dtype=np.float64)
+        a = np.asarray(item, dtype=np.float64)
         a = a if a.ndim == 3 else a[None]
         if a.ndim != 3 or a.shape[1] != a.shape[2]:
             raise ContractViolation(f"expected (m, n, n) Hessian stacks, got shape {a.shape}")

@@ -107,14 +107,12 @@ class PenaltyValue:
     ``per_component`` maps tap name (or "output") to the (B, m) probe
     variances before reduction (empty for a call with ``components`` false);
     ``per_sample`` holds the per-row reduced values averaged over taps, so a
-    batched call doubles as a set of independent trials. ``config`` is the
-    configuration it was computed with.
+    batched call doubles as a set of independent trials.
     """
 
     scalar: ad.Tensor
     per_component: dict[str, np.ndarray]
     per_sample: np.ndarray
-    config: PenaltyConfig
 
     @property
     def value(self) -> float:
@@ -140,13 +138,14 @@ def _check_epsilon(epsilon: float) -> None:
 
 
 def sample_rademacher(dim: int, k: int, seed: int = 0, rng=None) -> np.ndarray:
-    """Draw k probe vectors with i.i.d. entries, each -1 or +1 with equal probability."""
+    """Draw k probe vectors with i.i.d. entries, each -1 or +1 with equal probability: the
+    estimator's own draw, so for one latent they are the probes it draws from ``rng``."""
     if int(dim) != dim or dim < 1:
         raise ContractViolation(f"dim must be a positive integer, got {dim}")
     if int(k) != k or k < 2:
         raise ContractViolation(f"probe count k must be an integer >= 2, got {k}")
     rng = np.random.default_rng(seed) if rng is None else rng
-    return rng.integers(0, 2, size=(int(k), int(dim))).astype(np.float64) * 2.0 - 1.0
+    return _top_bits(rng, int(k) * int(dim)).reshape(int(k), int(dim)) * 2.0 - 1.0
 
 
 def exact_offdiag_penalty(matrix):
@@ -419,5 +418,4 @@ def hessian_penalty_estimate(fn, z, config: PenaltyConfig, rng=None, probes=None
     tap_scalars = [_row_mean(reduced[name], n_rows) for name in config.taps]
     loss = ad._coerce(sum(tap_scalars[1:], tap_scalars[0]) * (1.0 / len(config.taps)))
 
-    return PenaltyValue(scalar=loss, per_component=per_component, per_sample=per_sample,
-                        config=config)
+    return PenaltyValue(scalar=loss, per_component=per_component, per_sample=per_sample)

@@ -22,10 +22,10 @@ Direction discovery freezes a trained (or analytic) generator and
 optimizes an orthonormal matrix A whose columns are latent directions:
 each step samples a latent z, a column index i and a shift scale eta,
 and minimizes the penalty of w -> G(z + eta * A w) at the one-hot w_i,
-with probes living in the w coordinate space. A is re-orthonormalized by
-modified Gram-Schmidt at the start of every forward pass, gradients flow
-only into A, and the reduction defaults to a mean over output components
-in output space.
+with probes living in the w coordinate space. A is re-orthonormalized
+(``functions.gram_schmidt``, a sign-fixed QR) at the start of every
+forward pass, gradients flow only into A, and the reduction defaults to a
+mean over output components in output space.
 
 Loops are sequential and deterministic per seed.
 """
@@ -40,8 +40,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import Dataset, dataset_spec, sample_dataset
-from .errors import ContractViolation, DegeneracyError, NumericError
-from .functions import random_orthogonal
+from .errors import ContractViolation, NumericError
+from .functions import gram_schmidt, random_orthogonal
 from .nets import Discriminator, Generator, frozen
 from .penalty import PenaltyConfig, hessian_penalty_estimate
 
@@ -207,6 +207,8 @@ class Trainer:
                                        config.hidden_layers, seed=int(seeds[1]))
         self.adversarial = config.mode != "reconstruction"
         if not self.adversarial:
+            if discriminator is not None:
+                raise ContractViolation(f"{config.mode} mode trains no discriminator to fine-tune")
             self.discriminator = None
         elif discriminator is not None:
             if discriminator.input_dim != obs_dim:
@@ -308,32 +310,6 @@ def train(config: TrainConfig, dataset: Dataset | None = None,
 
 # ---------------------------------------------------------------------------
 # direction discovery
-
-
-def gram_schmidt(matrix) -> np.ndarray:
-    """Column-wise modified Gram-Schmidt orthonormalization.
-
-    The first column's direction is preserved up to normalization.
-    Raises :class:`DegeneracyError` when a column's norm falls below
-    1e-10 after projection (linearly dependent input).
-    """
-    a = np.array(matrix, dtype=np.float64)
-    if a.ndim != 2:
-        raise ContractViolation(f"expected a matrix, got shape {a.shape}")
-    rows, cols = a.shape
-    if cols > rows:
-        raise ContractViolation(f"cannot orthonormalize {cols} columns in dimension {rows}")
-    q = a.copy()
-    for i in range(cols):
-        norm = float(np.linalg.norm(q[:, i]))
-        if norm < 1e-10:
-            raise DegeneracyError(
-                f"column {i} is linearly dependent (norm {norm:.3e} after projection)"
-            )
-        q[:, i] /= norm
-        for j in range(i + 1, cols):
-            q[:, j] -= (q[:, i] @ q[:, j]) * q[:, i]
-    return q
 
 
 @dataclass

@@ -92,7 +92,7 @@ def test_c03_finite_difference_fidelity():
         fn = get_function(name, beta=5.0, seed=7)
         z = rng.normal(size=fn.input_dim)
         hs = exact_hessian_fd(fn, z, 1e-3)
-        worst_hess = max(worst_hess, float(np.max(np.abs(hs.matrices - fn.hessians(z)))))
+        worst_hess = max(worst_hess, float(np.max(np.abs(hs - fn.hessians(z)))))
     verdict(3, worst_dir <= 1e-9 and worst_hess <= 1e-6,
             f"directional differences match v^T H v to {worst_dir:.2e} at eps=0.1; "
             f"full Hessians match registry analytics to {worst_hess:.2e} at eps=1e-3")

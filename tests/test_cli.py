@@ -1,7 +1,9 @@
+import itertools
 import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from hesskit import autodiff as ad
 from hesskit import cli
 from hesskit.cli import main
 from hesskit.files import overwrite
-from hesskit.nets import Generator, load_checkpoint, save_checkpoint
+from hesskit.nets import Discriminator, Generator, load_checkpoint, save_checkpoint
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -567,3 +569,80 @@ def test_removed_knobs_are_not_options(tmp_path, capsys, command, key):
     assert main([command, "--config", str(cfg_file), "--out", str(tmp_path / "y")]) == 1
     assert f"unknown config key {key!r}" in capsys.readouterr().err
 
+
+
+@pytest.mark.parametrize("layers, taps", [(1, ["norm1"]), (4, ["norm1", "norm2", "norm3"])])
+def test_resume_resolves_auto_taps_from_the_resumed_generator(tmp_path, layers, taps):
+    # --hidden-layers keeps its default of 3: "auto" must follow the checkpoint instead
+    args = ["train", "--mode", "reconstruction", "--dataset", "1fov", "--latent-dim", "2",
+            "--hidden-width", "8", "--steps", "2", "--batch-size", "4", "--dataset-size", "8"]
+    first, resumed = str(tmp_path / "first"), str(tmp_path / "resumed")
+    assert main(args + ["--hidden-layers", str(layers), "--out", first]) == 0
+    assert main(args + ["--resume", os.path.join(first, "checkpoints", "generator.npz"),
+                        "--out", resumed]) == 0
+    assert read_json(os.path.join(resumed, "reports", "summary.json"))["taps"] == taps
+
+
+def test_resume_disc_in_reconstruction_mode_exits_one(tmp_path, capsys):
+    disc = str(tmp_path / "disc.npz")
+    save_checkpoint(Discriminator(input_dim=768, hidden_width=4, hidden_layers=1), disc)
+    out = str(tmp_path / "rec")
+    assert main(["train", "--mode", "reconstruction", "--dataset", "1fov", "--latent-dim", "2",
+                 "--steps", "1", "--dataset-size", "4", "--resume-disc", disc,
+                 "--out", out]) == 1
+    assert "reconstruction mode trains no discriminator" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "checkpoints"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--fn", "beta-cubic", "--k", "99999999999999999999"],
+    ["estimate", "--fn", "rotated-separable", "--dim", "99999999999999999999"],
+    ["verify", "--dims", "2..99999999999999999999"],
+    ["verify", "--dims", "2,3,21"],
+], ids=lambda argv: " ".join(argv))
+def test_integers_too_large_for_numpy_exit_one(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_integer_limit_holds_for_config_files_but_not_seeds(tmp_path, capsys):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("k = 99999999999999999999\n")
+    assert main(["estimate", "--fn", "z1z2", "--config", str(cfg_file),
+                 "--out", str(tmp_path / "x")]) == 1
+    assert "config key 'k'" in capsys.readouterr().err
+    assert main(["estimate", "--fn", "z1z2", "--seed", "99999999999999999999",
+                 "--out", str(tmp_path / "y")]) == 0
+
+
+# every int and float option of every command gets these values, the rest small sizes
+EDGE_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e-300", "1e300", "5e-324", "1", "2",
+               "99999999999999999999")
+SMALL = {
+    "estimate": ["--fn", "beta-cubic", "--repeat", "2"],
+    "verify": ["--dims", "2..3", "--trials", "2", "--mc-matrices", "1", "--mc-dim", "2",
+               "--mc-trials", "30"],
+    "train": ["--dataset", "1fov", "--latent-dim", "2", "--hidden-width", "3",
+              "--hidden-layers", "2", "--disc-width", "3", "--disc-layers", "1",
+              "--steps", "1", "--batch-size", "2", "--dataset-size", "2", "--warmup", "1"],
+    "directions": ["--fn", "rotated-separable", "--dim", "2", "--steps", "1"],
+    "eval": ["--fn", "rotated-separable", "--dim", "2", "--ppl-samples", "2",
+             "--act-base", "2", "--act-sweep", "2", "--hess-samples", "1"],
+    "hessdump": ["--fn", "beta-cubic", "--samples", "1"],
+    "data": ["--spec", "1fov", "--n", "2"],
+}
+
+
+@pytest.mark.parametrize("command", list(cli._OPTIONS))
+def test_numeric_edge_values_end_in_an_exit_code(tmp_path, capsys, command):
+    options = {**cli._COMMON, **cli._OPTIONS[command]}
+    numeric = [name for name, (typ, _d, _h) in options.items() if typ is not str]
+    for name, value in itertools.product(numeric, EDGE_VALUES):
+        out = str(tmp_path / f"{name}{value}")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([command, *SMALL[command], f"--{name}={value}", "--out", out])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2) and "Traceback" not in err, (name, value, code, err)
+        assert not caught, (name, value, [str(w.message) for w in caught])

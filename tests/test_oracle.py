@@ -13,7 +13,6 @@ from hesskit.errors import ContractViolation, NumericError
 from hesskit.functions import QuadraticForm, SeparablePolynomial, get_function
 from hesskit.nets import Generator
 from hesskit.oracle import (
-    HessianSet,
     diagonality_metrics,
     enumerate_variance,
     exact_hessian_fd,
@@ -26,12 +25,12 @@ from hesskit.penalty import PenaltyConfig, exact_offdiag_penalty, hessian_penalt
 class TestExactHessianFD:
     def test_quadratic_cross(self):
         hs = exact_hessian_fd(get_function("z1z2"), np.zeros(2), 1e-3)
-        assert np.allclose(hs.matrices[0], [[0.0, 1.0], [1.0, 0.0]], atol=1e-9)
+        assert np.allclose(hs[0], [[0.0, 1.0], [1.0, 0.0]], atol=1e-9)
 
     def test_linear_function_zero_matrix(self):
         lin = SeparablePolynomial(np.zeros(2), linear=np.array([3.0, -2.0]))
         hs = exact_hessian_fd(lin, np.array([0.5, 0.5]), 1e-3)
-        assert np.max(np.abs(hs.matrices)) <= 1e-9
+        assert np.max(np.abs(hs)) <= 1e-9
 
     def test_mixed_cubic_hand_hessian(self):
         # G(z) = z1^2 z2 at (1,1): [[2, 2], [2, 0]]
@@ -42,12 +41,12 @@ class TestExactHessianFD:
                 return ad.mul(ad.square(a), b)
 
         hs = exact_hessian_fd(Cubic(), np.array([1.0, 1.0]), 1e-3)
-        assert np.allclose(hs.matrices[0], [[2.0, 2.0], [2.0, 0.0]], atol=1e-6)
+        assert np.allclose(hs[0], [[2.0, 2.0], [2.0, 0.0]], atol=1e-6)
 
     def test_symmetry_residual_of_smooth_function(self):
         fn = get_function("rotated-separable", dim=4, seed=3)
         hs = exact_hessian_fd(fn, np.random.default_rng(0).normal(size=4), 1e-3)
-        assert np.allclose(hs.matrices, np.swapaxes(hs.matrices, 1, 2))
+        assert np.allclose(hs, np.swapaxes(hs, 1, 2))
 
     def test_registry_functions_match_analytic(self):
         rng = np.random.default_rng(5)
@@ -55,7 +54,7 @@ class TestExactHessianFD:
             fn = get_function(name, beta=7.0, seed=2)
             z = rng.normal(size=fn.input_dim)
             hs = exact_hessian_fd(fn, z, 1e-3)
-            assert np.max(np.abs(hs.matrices - fn.hessians(z))) <= 1e-6, name
+            assert np.max(np.abs(hs - fn.hessians(z))) <= 1e-6, name
 
     def test_stacked_points_match_single_point_calls(self):
         fn = get_function("rotated-separable", dim=3, seed=1)
@@ -71,8 +70,7 @@ class TestExactHessianFD:
         assert len(stacked) == 4
         for z, hs in zip(zs, stacked):
             single = exact_hessian_fd(fn, z, 1e-3)
-            assert np.array_equal(hs.matrices, single.matrices)
-            assert np.array_equal(hs.z, z)
+            assert np.array_equal(hs, single)
 
     @pytest.mark.parametrize("shape", [(0, 3), (2, 0), (3,)])
     def test_empty_or_flat_point_array_rejected(self, shape):
@@ -87,9 +85,9 @@ class TestExactHessianFD:
     def test_one_dimensional_function(self):
         cube = SeparablePolynomial(np.array([2.0]))  # G(z) = 2 z^3, G'' = 12 z
         hs = hessian_sets_for(cube, np.array([[0.5], [-1.0]]), 1e-3)
-        assert [h.matrices.shape for h in hs] == [(1, 1, 1), (1, 1, 1)]
-        assert hs[0].matrices[0, 0, 0] == pytest.approx(6.0, abs=1e-6)
-        assert hs[1].matrices[0, 0, 0] == pytest.approx(-12.0, abs=1e-6)
+        assert [h.shape for h in hs] == [(1, 1, 1), (1, 1, 1)]
+        assert hs[0][0, 0, 0] == pytest.approx(6.0, abs=1e-6)
+        assert hs[1][0, 0, 0] == pytest.approx(-12.0, abs=1e-6)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -123,8 +121,7 @@ class TestRowBlocks:
         assert max(calls[1:]) <= budget // 6
         assert len(blocked) == len(whole) == 7
         for b, w in zip(blocked, whole):
-            assert b.matrices.tobytes() == w.matrices.tobytes()
-            assert np.array_equal(b.z, w.z)
+            assert b.tobytes() == w.tobytes()
 
     def test_small_batches_are_one_call(self):
         calls = []
@@ -221,8 +218,8 @@ class TestDiagonality:
             diagonality_metrics(np.array([[[diag, off], [off, diag]]]))
 
     def test_pools_across_hessian_sets(self):
-        a = HessianSet(matrices=np.stack([np.eye(2)] * 2), z=np.zeros(2), epsilon=0.1)
-        b = HessianSet(matrices=np.array([[[0.0, 3.0], [3.0, 0.0]]]), z=np.zeros(2), epsilon=0.1)
+        a = np.stack([np.eye(2)] * 2)
+        b = np.array([[[0.0, 3.0], [3.0, 0.0]]])
         report = diagonality_metrics([a, b])
         assert report.count == 3
         assert report.d_percent == pytest.approx(2.0 / 3.0)
@@ -270,7 +267,7 @@ class TestHeatmapExport:
         rng = np.random.default_rng(6)
         for n in range(1, 17):
             mats = rng.normal(size=(5, n, n))
-            stacks = [mats[:2], HessianSet(matrices=mats[2:], z=np.zeros(n), epsilon=1e-3)]
+            stacks = [mats[:2], mats[2:]]
             index = export_hessian_heatmaps(stacks, str(tmp_path / str(n)))
             exact = [exact_offdiag_penalty(m) for m in mats]
             assert [e["offdiag_penalty"] for e in index] == sorted(exact, reverse=True)

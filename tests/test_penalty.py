@@ -118,6 +118,21 @@ class TestRademacher:
         with pytest.raises(ContractViolation):
             sample_rademacher(3, 1)
 
+    @pytest.mark.parametrize("grad", [True, False], ids=["recorded", "tabulated"])
+    def test_injected_probes_equal_the_estimators_own_draw(self, grad):
+        # off the record, k = 9 > 2^3 draws take the sign-vector table
+        fn, z = get_function("rotated-separable", dim=3, seed=2), np.array([0.3, -0.2, 0.5])
+        config = PenaltyConfig(epsilon=0.1, k=9, reduction="mean")
+        drawn_rng, probe_rng = np.random.default_rng(11), np.random.default_rng(11)
+        with contextlib.nullcontext() if grad else ad.no_grad():
+            drawn = hessian_penalty_estimate(fn, z, config, rng=drawn_rng)
+            injected = hessian_penalty_estimate(
+                fn, z, config, probes=sample_rademacher(3, 9, rng=probe_rng))
+        assert drawn.value == injected.value
+        assert drawn.per_component["output"].tobytes() == \
+            injected.per_component["output"].tobytes()
+        assert drawn_rng.bit_generator.state == probe_rng.bit_generator.state
+
 
 class TestSecondDirectionalFD:
     def test_quadratic_cross_term(self):

@@ -151,6 +151,16 @@ class TestAdam:
             Adam([ad.Parameter("p", np.zeros(2))], lr=lr)
 
 
+def test_reconstruction_rejects_a_discriminator_to_fine_tune():
+    from hesskit.nets import Discriminator
+    from hesskit.training import Trainer
+
+    disc = Discriminator(input_dim=768, hidden_width=4, hidden_layers=1)
+    with pytest.raises(ContractViolation, match="trains no discriminator"):
+        Trainer(TrainConfig(mode="reconstruction", dataset="1fov", latent_dim=2, steps=0,
+                            dataset_size=4), discriminator=disc)
+
+
 class TestTrainerDeterminism:
     def test_lambda_zero_matches_baseline_trajectory(self):
         common = dict(dataset="1fov", latent_dim=2, steps=60, batch_size=8,
@@ -307,6 +317,19 @@ class TestGramSchmidt:
         out = gram_schmidt(a)
         cos = a[:, 0] @ out[:, 0] / np.linalg.norm(a[:, 0])
         assert cos == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("rows, cols", [(6, 6), (7, 3), (2, 1)])
+    def test_random_orthogonal_is_the_frame_of_its_draw(self, rows, cols):
+        q = gram_schmidt(np.random.default_rng(3).normal(size=(rows, cols)))
+        assert q.tobytes() == random_orthogonal(rows, cols, np.random.default_rng(3)).tobytes()
+
+    def test_matches_modified_gram_schmidt(self):
+        a = np.random.default_rng(4).normal(size=(6, 4))
+        ref = a.copy()
+        for i in range(4):
+            ref[:, i] /= np.linalg.norm(ref[:, i])
+            ref[:, i + 1:] -= np.outer(ref[:, i], ref[:, i] @ ref[:, i + 1:])
+        assert np.max(np.abs(gram_schmidt(a) - ref)) <= 1e-12
 
     def test_duplicate_columns_degenerate(self):
         with pytest.raises(DegeneracyError):

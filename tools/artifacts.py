@@ -46,6 +46,11 @@ CALLS = [
     ("train-baseline", ["train", "--mode", "baseline", "--steps", "60"]),
     ("train-resume", ["train", "--mode", "reconstruction", "--steps", "40", "--resume", CKPT,
                       "--k", "3", "--reduction", "mean"]),
+    # --taps auto on a resume follows the resumed generator's depth, not --hidden-layers
+    ("train-rec-2layer", ["train", "--mode", "reconstruction", "--steps", "2",
+                          "--hidden-layers", "2"]),
+    ("train-resume-auto", ["train", "--mode", "reconstruction", "--steps", "2", "--resume",
+                           "train-rec-2layer/checkpoints/generator.npz"]),
     ("estimate-point", ["estimate", "--checkpoint", CKPT, "--taps", "auto", POINT]),
     ("estimate-repeat", ["estimate", "--checkpoint", CKPT, "--taps", "auto", POINT,
                          "--repeat", "8192"]),
