@@ -43,7 +43,6 @@ from .training import (
     DirectionMatrix,
     TrainConfig,
     TrainLog,
-    TrainResult,
     Trainer,
     discover_directions,
     signed_permutation_score,
@@ -76,7 +75,6 @@ __all__ = [
     "ToolkitError",
     "TrainConfig",
     "TrainLog",
-    "TrainResult",
     "Trainer",
     "activeness",
     "activeness_profile",

@@ -42,6 +42,8 @@ from .training import TrainConfig, discover_directions, train
 
 OUTPUT_ROOT_ENV = "HESSKIT_OUTPUT_ROOT"
 _REL_TOL = 1e-10  # verify's gate: the enumeration identity holds to this relative error
+# numpy refuses, before allocating, an array of a size it cannot address
+_TOO_BIG = ("array is too big", "Maximum allowed dimension exceeded", "iterator is too large")
 
 
 class _UsageError(Exception):
@@ -414,8 +416,7 @@ def _cmd_train(cfg: dict, out: str) -> int:
     )
     dataset = None
     if cfg["dataset"] not in SPEC_NAMES:
-        if not os.path.exists(cfg["dataset"]) and not os.path.exists(
-                os.path.join(cfg["dataset"], "manifest.json")):
+        if not os.path.exists(cfg["dataset"]):
             raise ContractViolation(
                 f"--dataset {cfg['dataset']!r} is neither a built-in spec nor a manifest path"
             )
@@ -557,7 +558,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 1
-    except MemoryError as exc:
+    except (MemoryError, ValueError) as exc:
+        if isinstance(exc, ValueError) and not str(exc).startswith(_TOO_BIG):
+            raise
         print(f"error: out of memory ({exc})", file=sys.stderr)
         return 1
     except SystemExit as exc:  # argparse --version/--help

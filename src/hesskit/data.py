@@ -58,8 +58,8 @@ class FactorSpec:
     def __post_init__(self):
         if self.channels != 3:
             raise ContractViolation("only 3-channel rendering is supported")
-        if self.objects < 1:
-            raise ContractViolation("at least one object is required")
+        if self.objects < 1 or self.side < 1:
+            raise ContractViolation(f"objects and side must be >= 1, got {self.objects}, {self.side}")
         object.__setattr__(self, "factors", tuple(self.factors))
         object.__setattr__(self, "fixed", tuple(self.fixed))
         names = [f.name for f in self.factors] + [n for n, _ in self.fixed]
@@ -174,8 +174,8 @@ class Dataset:
 
 def sample_dataset(spec: FactorSpec, n: int, seed: int = 0) -> Dataset:
     """Draw n i.i.d. factor vectors (uniform per range) and render them."""
-    if n < 1:
-        raise ContractViolation(f"dataset size must be >= 1, got {n}")
+    if n < 1 or seed < 0:
+        raise ContractViolation(f"dataset size must be >= 1 and seed >= 0, got {n} and {seed}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     lo = np.array([f.low for f in spec.factors])
     hi = np.array([f.high for f in spec.factors])

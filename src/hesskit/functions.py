@@ -15,17 +15,17 @@ from . import autodiff as ad
 from .errors import ContractViolation, DegeneracyError
 
 
-def as_batch(z, dim: int) -> tuple[ad.Tensor, bool]:
+def as_batch(z, dim: int) -> ad.Tensor:
     """Lift a latent vector or batch to a ``(B, dim)`` Tensor."""
     t = z if isinstance(z, ad.Tensor) else ad.Tensor(z)
     if t.ndim == 1:
         if t.shape[0] != dim:
             raise ContractViolation(f"latent has dimension {t.shape[0]}, expected {dim}")
-        return ad.reshape(t, (1, dim)), True
+        return ad.reshape(t, (1, dim))
     if t.ndim == 2:
         if t.shape[1] != dim:
             raise ContractViolation(f"latent batch has dimension {t.shape[1]}, expected {dim}")
-        return t, False
+        return t
     raise ContractViolation(f"latent must be 1-D or 2-D, got shape {t.shape}")
 
 
@@ -44,7 +44,7 @@ class QuadraticForm:
         self._h = ad.Tensor(self.matrix)
 
     def __call__(self, z) -> ad.Tensor:
-        zb, _ = as_batch(z, self.input_dim)
+        zb = as_batch(z, self.input_dim)
         q = ad.mul(ad.matmul(zb, self._h), zb).sum(axis=1) * 0.5
         return ad.reshape(q, (zb.shape[0], 1))
 
@@ -72,7 +72,7 @@ class SeparablePolynomial:
         self._a, self._b, self._c = ad.Tensor(a), ad.Tensor(b), ad.Tensor(c)
 
     def __call__(self, z) -> ad.Tensor:
-        zb, _ = as_batch(z, self.input_dim)
+        zb = as_batch(z, self.input_dim)
         z2 = ad.square(zb)
         z3 = ad.mul(z2, zb)
         total = ad.mul(z3, self._a) + ad.mul(z2, self._b) + ad.mul(zb, self._c)
@@ -151,7 +151,7 @@ class RotatedSeparable:
         self._r = ad.Tensor(self.rotation)
 
     def __call__(self, z) -> ad.Tensor:
-        zb, _ = as_batch(z, self.input_dim)
+        zb = as_batch(z, self.input_dim)
         u = ad.matmul(zb, self._r)  # u_j = R[:, j] . z
         return ad.mul(ad.square(u), u)
 

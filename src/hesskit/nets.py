@@ -185,7 +185,7 @@ class Generator(_Net):
         unless requested and deeper taps are absent. None runs everything.
         """
         depth = self._depth(taps)
-        h, _ = as_batch(z, self.latent_dim)
+        h = as_batch(z, self.latent_dim)
         if not ad.grad_enabled():
             return self._forward_values(h.values, depth)
         found: dict[str, ad.Tensor] = {}
@@ -239,7 +239,7 @@ class Discriminator(_Net):
         self.input_dim = int(input_dim)
 
     def __call__(self, x) -> ad.Tensor:
-        h, _ = as_batch(x, self.input_dim)
+        h = as_batch(x, self.input_dim)
         for w, b in self._hidden:
             h = ad.leaky_relu(ad.matmul(h, w) + b)
         return ad.matmul(h, self._head[0]) + self._head[1]

@@ -52,8 +52,8 @@ def exact_hessian_fd(fn, z, epsilon: float) -> np.ndarray:
     return hessian_sets_for(fn, np.asarray(z, dtype=np.float64).reshape(1, -1), epsilon)[0]
 
 
-def hessian_sets_for(fn, zs, epsilon: float) -> list[np.ndarray]:
-    """Full finite-difference Hessians at each of S points, from stacked calls of ``fn``.
+def hessian_sets_for(fn, zs, epsilon: float) -> np.ndarray:
+    """The (S, m, n, n) finite-difference Hessians at S points, from stacked calls of ``fn``.
 
     Diagonal entries use the 1-D central second difference; mixed entries
     use the four-point centered product stencil
@@ -94,7 +94,7 @@ def hessian_sets_for(fn, zs, epsilon: float) -> list[np.ndarray]:
             raise NumericError("non-finite finite-difference Hessian")
         return h, width
 
-    return [mats for _, h in row_blocks(len(zs), offsets.shape[0], run) for mats in h]
+    return np.concatenate([h for _, h in row_blocks(len(zs), offsets.shape[0], run)])
 
 
 def enumerate_variance(matrix) -> float:
@@ -132,69 +132,44 @@ def enumerate_variance(matrix) -> float:
 
 
 def diagonality_metrics(hessians) -> DiagonalityReport:
-    """Pool Hessian collections into the two diagonality statistics."""
-    stacks = _hessian_stacks(hessians)
-
-    diag_count = 0
-    total = 0
-    diag_sum = 0.0
-    diag_n = 0
-    off_sum = 0.0
-    off_n = 0
-    for mats in stacks:
-        m, n, _ = mats.shape
-        absmats = np.abs(mats)
-        eye = np.eye(n, dtype=bool)
-        diag_abs = absmats[:, eye]
-        off_abs = absmats[:, ~eye]
-        max_diag = diag_abs.max(axis=1)
-        max_off = off_abs.max(axis=1) if n > 1 else np.zeros(m)
-        diag_count += int(np.sum(max_diag >= max_off))  # ties favor the diagonal
-        total += m
-        diag_sum += float(diag_abs.sum())
-        diag_n += diag_abs.size
-        off_sum += float(off_abs.sum())
-        off_n += off_abs.size
-
-    mean_diag = diag_sum / diag_n if diag_n else 0.0
-    mean_off = off_sum / off_n if off_n else 0.0
-    d_ratio = mean_diag / mean_off if mean_off else math.inf
+    """Pool an array of Hessians, of any leading shape, into the two diagonality statistics."""
+    mats = _hessian_stack(hessians)
+    eye = np.eye(mats.shape[-1], dtype=bool)
+    diag_abs, off_abs = np.abs(mats[:, eye]), np.abs(mats[:, ~eye])
+    max_off = off_abs.max(axis=1) if off_abs.size else np.zeros(len(mats))
+    diag_count = int(np.sum(diag_abs.max(axis=1) >= max_off))  # ties favor the diagonal
+    diag_sum, off_sum = float(diag_abs.sum()), float(off_abs.sum())
+    mean_off = off_sum / off_abs.size if off_abs.size else 0.0
+    d_ratio = diag_sum / diag_abs.size / mean_off if mean_off else math.inf
     # an overflowed sum or ratio would read as NaN, or as all-zero off-diagonals
     finite = math.isfinite(diag_sum) and math.isfinite(off_sum)
     if not finite or (mean_off and math.isinf(d_ratio)):
         raise NumericError("diagonality: the pooled Hessian entries overflow")
-    return DiagonalityReport(d_percent=diag_count / total, count=total, d_ratio=d_ratio)
+    return DiagonalityReport(d_percent=diag_count / len(mats), count=len(mats), d_ratio=d_ratio)
 
 
-def _hessian_stacks(hessians) -> list[np.ndarray]:
-    """The (m, n, n) stacks of an array or a non-empty iterable of arrays; an
-    array that is not a stack counts as one matrix."""
-    items = [hessians] if isinstance(hessians, np.ndarray) else hessians
-    stacks = []
-    for item in items:
-        a = np.asarray(item, dtype=np.float64)
-        a = a if a.ndim == 3 else a[None]
-        if a.ndim != 3 or a.shape[1] != a.shape[2]:
-            raise ContractViolation(f"expected (m, n, n) Hessian stacks, got shape {a.shape}")
-        stacks.append(a)
-    if not stacks:
+def _hessian_stack(hessians) -> np.ndarray:
+    """An array of square matrices, of any leading shape, as one (count, n, n) stack."""
+    a = np.asarray(hessians, dtype=np.float64)
+    if a.size == 0:
         raise ContractViolation("empty Hessian collection")
-    return stacks
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ContractViolation(f"expected an array of square Hessians, got shape {a.shape}")
+    return a.reshape(-1, *a.shape[-2:])
 
 
 def export_hessian_heatmaps(hessians, path, top: int | None = None) -> list[dict]:
     """Write one CSV plus one grayscale pixmap per Hessian matrix.
 
-    Components are numbered across the stacks in order, and the stacks are
-    read in place, never concatenated. Matrices are ranked by their exact
-    off-diagonal penalty, one vectorised pass per stack; ``top`` restricts
-    export to the k largest. CSV values round-trip exactly (shortest-repr
-    decimals); pixmaps are min/max normalized per matrix, with a constant
-    matrix rendered as uniform mid-gray. Returns the written index (``index.json``).
+    ``hessians`` is an array of square matrices of any leading shape; components
+    are numbered in its C order. Matrices are ranked by their exact off-diagonal
+    penalty, in one vectorised pass; ``top`` restricts export to the k largest.
+    CSV values round-trip exactly (shortest-repr decimals); pixmaps are min/max
+    normalized per matrix, with a constant matrix rendered as uniform mid-gray.
+    Returns the written index (``index.json``).
     """
-    stacks = _hessian_stacks(hessians)
-    penalties = np.concatenate([exact_offdiag_penalty(mats) for mats in stacks])
-    starts = np.cumsum([0] + [len(mats) for mats in stacks])
+    mats = _hessian_stack(hessians)
+    penalties = exact_offdiag_penalty(mats)
     order = np.argsort(-penalties, kind="stable")
     if top is not None:
         if top < 1:
@@ -203,9 +178,7 @@ def export_hessian_heatmaps(hessians, path, top: int | None = None) -> list[dict
 
     index = []
     for rank, comp in enumerate(order):
-        comp = int(comp)
-        which = np.searchsorted(starts, comp, side="right") - 1
-        matrix = stacks[which][comp - starts[which]]
+        comp, matrix = int(comp), mats[comp]
         stem = f"hessian_{comp:05d}"
         write_csv(os.path.join(path, stem + ".csv"), matrix)
         lo, hi = float(matrix.min()), float(matrix.max())

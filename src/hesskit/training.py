@@ -168,15 +168,6 @@ class TrainLog:
         return len(self.records)
 
 
-@dataclass
-class TrainResult:
-    config: TrainConfig
-    generator: Generator
-    discriminator: Discriminator | None
-    dataset: Dataset
-    log: TrainLog
-
-
 class Trainer:
     """One training run; step dispatch depends on the configured mode.
 
@@ -279,7 +270,8 @@ class Trainer:
         update = self._update_generator(recon, z, lam_t)
         return {"step": t, "recon_loss": recon.item(), **update}
 
-    def run(self) -> TrainResult:
+    def run(self) -> Trainer:
+        """Run every configured step; the trainer itself is the result."""
         cfg = self.config
         for t in range(cfg.steps):
             idx = self._batch_rng.integers(0, self.dataset.count, size=cfg.batch_size)
@@ -292,14 +284,14 @@ class Trainer:
                 self.log.append({"step": t, "error": str(exc), "wall_clock": time.time()})
                 raise
             self.log.append(record)
-        return TrainResult(config=cfg, generator=self.generator,
-                           discriminator=self.discriminator, dataset=self.dataset, log=self.log)
+        return self
 
 
 def train(config: TrainConfig, dataset: Dataset | None = None,
           generator: Generator | None = None,
-          discriminator: Discriminator | None = None) -> TrainResult:
-    """Run a full training loop.
+          discriminator: Discriminator | None = None) -> Trainer:
+    """Run a full training loop and return its ``Trainer``, whose ``config``,
+    ``generator``, ``discriminator``, ``dataset`` and ``log`` are the result.
 
     ``dataset`` overrides the configured spec; ``generator`` and
     ``discriminator`` turn the run into fine-tuning of existing networks.

@@ -468,7 +468,8 @@ def test_bad_checkpoint_is_a_contract_violation(tmp_path, capsys, case):
             assert ckpt in err and "'head.bias'" in err
 
 
-@pytest.mark.parametrize("case", ["no-spec", "not-json", "spec-without-factors"])
+@pytest.mark.parametrize("case", ["no-spec", "not-json", "spec-without-factors", "negative-seed",
+                                  "zero-side", "negative-side"])
 def test_malformed_dataset_manifest_is_a_contract_violation(tmp_path, capsys, case):
     data_out = str(tmp_path / "ds")
     assert main(["data", "--spec", "2factor", "--n", "4", "--out", data_out]) == 0
@@ -478,6 +479,10 @@ def test_malformed_dataset_manifest_is_a_contract_violation(tmp_path, capsys, ca
         del manifest["spec"]
     elif case == "spec-without-factors":
         del manifest["spec"]["factors"]
+    elif case == "negative-seed":
+        manifest["seed"] = -1
+    elif case.endswith("-side"):
+        manifest["spec"]["side"] = 0 if case == "zero-side" else -3
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("{not json" if case == "not-json" else json.dumps(manifest))
     capsys.readouterr()
@@ -594,11 +599,31 @@ def test_resume_disc_in_reconstruction_mode_exits_one(tmp_path, capsys):
     assert not os.path.exists(os.path.join(out, "checkpoints"))
 
 
+BIG = str(1 << 62)  # fits int64, but no array of that many elements fits an address space
+VERIFY = ["verify", "--dims", "2", "--trials", "2", "--mc-matrices", "1"]
+EVAL = ["eval", "--fn", "rotated-separable", "--dim", "2", "--ppl-samples", "2", "--act-base", "2",
+        "--act-sweep", "2", "--hess-samples", "1"]
+TRAIN = ["train", "--dataset", "1fov", "--latent-dim", "2", "--hidden-width", "3",
+         "--disc-width", "3", "--steps", "1", "--batch-size", "2", "--dataset-size", "2"]
+
+
 @pytest.mark.parametrize("argv", [
     ["estimate", "--fn", "beta-cubic", "--k", "99999999999999999999"],
     ["estimate", "--fn", "rotated-separable", "--dim", "99999999999999999999"],
     ["verify", "--dims", "2..99999999999999999999"],
     ["verify", "--dims", "2,3,21"],
+    ["estimate", "--fn", "beta-cubic", "--k", BIG],
+    ["estimate", "--fn", "rotated-separable", "--dim", BIG],
+    VERIFY + ["--mc-dim", "2", "--mc-trials", BIG],
+    VERIFY + ["--mc-trials", "30", "--mc-dim", BIG],
+    *[EVAL + [option, BIG]
+      for option in ("--ppl-samples", "--act-base", "--act-sweep", "--hess-samples")],
+    ["hessdump", "--fn", "beta-cubic", "--samples", BIG],
+    ["hessdump", "--fn", "rotated-separable", "--dim", BIG],
+    ["data", "--spec", "1fov", "--n", BIG],
+    *[TRAIN + [option, BIG] for option in ("--dataset-size", "--batch-size", "--latent-dim",
+                                           "--hidden-width", "--disc-width")],
+    ["directions", "--fn", "rotated-separable", "--steps", "1", "--dim", BIG],
 ], ids=lambda argv: " ".join(argv))
 def test_integers_too_large_for_numpy_exit_one(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path / "x")]) == 1

@@ -76,10 +76,8 @@ def test_rotated_separable_seed_controls_rotation():
 
 
 def test_as_batch_validates_dimensions():
-    t, single = as_batch(np.zeros(3), 3)
-    assert single and t.shape == (1, 3)
-    t, single = as_batch(np.zeros((4, 3)), 3)
-    assert not single and t.shape == (4, 3)
+    assert as_batch(np.zeros(3), 3).shape == (1, 3)
+    assert as_batch(np.zeros((4, 3)), 3).shape == (4, 3)
     with pytest.raises(ContractViolation):
         as_batch(np.zeros(2), 3)
     with pytest.raises(ContractViolation):

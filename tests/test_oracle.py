@@ -67,7 +67,7 @@ class TestExactHessianFD:
 
         stacked = hessian_sets_for(counted, zs, 1e-3)
         assert calls == [(4 * 19, 3)]  # 1 + 2n + 2n(n-1) stencil rows per point, one call
-        assert len(stacked) == 4
+        assert isinstance(stacked, np.ndarray) and stacked.shape == (4, 3, 3, 3)
         for z, hs in zip(zs, stacked):
             single = exact_hessian_fd(fn, z, 1e-3)
             assert np.array_equal(hs, single)
@@ -119,9 +119,8 @@ class TestRowBlocks:
         assert calls == [self.P, 2 * self.P, 2 * self.P, 2 * self.P]
         assert all(rows % self.P == 0 for rows in calls)
         assert max(calls[1:]) <= budget // 6
-        assert len(blocked) == len(whole) == 7
-        for b, w in zip(blocked, whole):
-            assert b.tobytes() == w.tobytes()
+        assert isinstance(blocked, np.ndarray) and blocked.shape == whole.shape == (7, 5, 3, 3)
+        assert blocked.tobytes() == whole.tobytes()
 
     def test_small_batches_are_one_call(self):
         calls = []
@@ -220,7 +219,7 @@ class TestDiagonality:
     def test_pools_across_hessian_sets(self):
         a = np.stack([np.eye(2)] * 2)
         b = np.array([[[0.0, 3.0], [3.0, 0.0]]])
-        report = diagonality_metrics([a, b])
+        report = diagonality_metrics(np.concatenate([a, b]))
         assert report.count == 3
         assert report.d_percent == pytest.approx(2.0 / 3.0)
 
@@ -229,6 +228,26 @@ class TestDiagonality:
             diagonality_metrics([])
         with pytest.raises(ContractViolation, match="empty"):
             export_hessian_heatmaps([], str(tmp_path))
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 2, 3)])
+    def test_non_square_matrices_rejected(self, tmp_path, shape):
+        with pytest.raises(ContractViolation, match="square"):
+            diagonality_metrics(np.ones(shape))
+        with pytest.raises(ContractViolation, match="square"):
+            export_hessian_heatmaps(np.ones(shape), str(tmp_path))
+
+
+def test_hessian_array_reads_as_its_flat_stack(tmp_path):
+    # hessian_sets_for's (S, m, n, n) array is the (S*m, n, n) stack, component by component
+    g = Generator(latent_dim=3, output_dim=4, hidden_width=5, hidden_layers=1, seed=2)
+    mats = hessian_sets_for(g, np.random.default_rng(3).normal(size=(2, 3)), 1e-3)
+    assert mats.shape == (2, 4, 3, 3)
+    flat = mats.reshape(8, 3, 3)
+    assert diagonality_metrics(mats) == diagonality_metrics(flat)
+    index = export_hessian_heatmaps(mats, str(tmp_path / "points"), top=5)
+    assert index == export_hessian_heatmaps(flat, str(tmp_path / "flat"), top=5)
+    for name in sorted(os.listdir(tmp_path / "flat")):
+        assert (tmp_path / "points" / name).read_bytes() == (tmp_path / "flat" / name).read_bytes()
 
 
 class TestHeatmapExport:
@@ -267,8 +286,7 @@ class TestHeatmapExport:
         rng = np.random.default_rng(6)
         for n in range(1, 17):
             mats = rng.normal(size=(5, n, n))
-            stacks = [mats[:2], mats[2:]]
-            index = export_hessian_heatmaps(stacks, str(tmp_path / str(n)))
+            index = export_hessian_heatmaps(mats, str(tmp_path / str(n)))
             exact = [exact_offdiag_penalty(m) for m in mats]
             assert [e["offdiag_penalty"] for e in index] == sorted(exact, reverse=True)
             for entry in index:

@@ -67,6 +67,8 @@ CALLS = [
     ("eval-beta", ["eval", "--fn", "beta-cubic"]),
     ("eval-rotated", ["eval", "--fn", "rotated-separable"]),
     ("hessdump", ["hessdump", "--checkpoint", CKPT, "--samples", "2", "--top", "4"]),
+    # 20 points of 73 stencil rows are more than one call's 1,024: Hessians of several blocks
+    ("hessdump-20", ["hessdump", "--checkpoint", CKPT, "--samples", "20", "--top", "4"]),
     ("hessdump-rotated", ["hessdump", "--fn", "rotated-separable", "--samples", "2"]),
     ("data", ["data"]),
 ]
