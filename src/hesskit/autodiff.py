@@ -11,10 +11,11 @@ The toolkit uses these primitives: 2-D matrix multiply, bias add,
 elementwise arithmetic and scaling, tanh, the leaky rectifier with its
 fixed 0.2 slope, softplus, square, sum / mean reductions, reshaping,
 feature normalization and the penalty's probe-variance tail. Stacking and
-the variance and max reductions have no caller in the package. They stay
+the variance and max reductions (``stack``, ``_reduce_var``, ``_reduce_max``;
+no ``Tensor`` method reaches them) have no caller in the package. They stay
 only because the benchmark tracer patches them by name and the tests
 check the probe-variance tail against the five-op chain it replaced; they
-go with the next change to the benchmark (ROADMAP item 9).
+go with the next change to the benchmark (ROADMAP item 4).
 
 Everything is float64; finite-difference losses divide second differences
 by epsilon**2 and need the headroom. Any primitive that produces a
@@ -127,12 +128,6 @@ class Tensor:
 
     def mean(self, axis=None):
         return _reduce_mean(self, axis)
-
-    def var(self, axis=None, ddof: int = 1):
-        return _reduce_var(self, axis, ddof)
-
-    def max(self, axis=None):
-        return _reduce_max(self, axis)
 
     def reshape(self, shape):
         return reshape(self, shape)

@@ -246,6 +246,8 @@ def _load_function(cfg: dict):
     if cfg.get("checkpoint") and cfg.get("fn"):
         raise ContractViolation("--fn and --checkpoint are mutually exclusive")
     if cfg.get("checkpoint"):
+        if cfg.get("dim") is not None:
+            raise ContractViolation("--dim sets a built-in function's size, not a checkpoint's")
         return _load_net(cfg["checkpoint"], "generator")
     if cfg.get("fn"):
         return get_function(cfg["fn"], dim=cfg.get("dim"), beta=cfg.get("beta", 1.0),
@@ -422,7 +424,7 @@ def _cmd_train(cfg: dict, out: str) -> int:
             )
         dataset = dataset_from_manifest(cfg["dataset"])
     result = train(tconf, dataset=dataset, generator=generator, discriminator=discriminator)
-    write_jsonl(os.path.join(out, "log.jsonl"), result.log.records)
+    write_jsonl(os.path.join(out, "log.jsonl"), result.log)
     checkpoints = os.path.join(out, "checkpoints")
     save_checkpoint(result.generator, os.path.join(checkpoints, "generator.npz"))
     if result.discriminator is not None:
@@ -436,8 +438,8 @@ def _cmd_train(cfg: dict, out: str) -> int:
         "warmup_steps": tconf.warmup_steps,
         "taps": list(penalty.taps),
     }
-    if result.log.records:
-        summary["final"] = {k: v for k, v in result.log.records[-1].items() if k != "wall_clock"}
+    if result.log:
+        summary["final"] = {k: v for k, v in result.log[-1].items() if k != "wall_clock"}
     write_json(os.path.join(out, "reports", "summary.json"), summary)
     print(f"trained {tconf.steps} steps ({tconf.mode}); artifacts in {out}")
     return 0
@@ -451,7 +453,7 @@ def _cmd_directions(cfg: dict, out: str) -> int:
         fn, n_directions, cfg["steps"], seed=cfg["seed"], learning_rate=cfg["lr"],
         eta_range=cfg["eta-range"], config=pconf,
     )
-    write_jsonl(os.path.join(out, "log.jsonl"), log.records)
+    write_jsonl(os.path.join(out, "log.jsonl"), log)
     penalties = log.values("penalty")
     write_json(os.path.join(out, "reports", "directions.json"), {
         "directions": matrix.matrix,

@@ -32,8 +32,6 @@ def as_batch(z, dim: int) -> ad.Tensor:
 class QuadraticForm:
     """G(z) = 0.5 * z^T H z for a fixed symmetric H; the Hessian is exactly H."""
 
-    name = "quadratic"
-
     def __init__(self, matrix):
         h = np.asarray(matrix, dtype=np.float64)
         if h.ndim != 2 or h.shape[0] != h.shape[1]:
@@ -54,8 +52,6 @@ class QuadraticForm:
 
 class SeparablePolynomial:
     """Scalar G(z) = sum_i a_i z_i^3 + b_i z_i^2 + c_i z_i; off-diagonal Hessian is zero."""
-
-    name = "separable-cubic"
 
     def __init__(self, cubic, quadratic=None, linear=None):
         a = np.asarray(cubic, dtype=np.float64)
@@ -81,25 +77,6 @@ class SeparablePolynomial:
     def hessians(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=np.float64).reshape(self.input_dim)
         return np.diag(6.0 * self.a * z + 2.0 * self.b)[None, :, :]
-
-
-class ScaledCubic(SeparablePolynomial):
-    """G(z) = beta * sum_i z_i^3: zero off-diagonal curvature at any scale.
-
-    The one-parameter family behind the smoothness counterexample: the
-    off-diagonal penalty stays at zero for every beta while path-length
-    style metrics grow with it.
-    """
-
-    name = "beta-cubic"
-
-    def __init__(self, beta: float = 1.0, dim: int = 2):
-        if dim < 1:
-            raise ContractViolation("dim must be >= 1")
-        if not np.isfinite(beta):
-            raise ContractViolation(f"beta must be finite, got {beta}")
-        self.beta = float(beta)
-        super().__init__(np.full(dim, self.beta))
 
 
 def gram_schmidt(matrix) -> np.ndarray:
@@ -138,8 +115,6 @@ class RotatedSeparable:
     for direction-discovery tests.
     """
 
-    name = "rotated-separable"
-
     def __init__(self, dim: int = 4, seed: int = 0):
         if dim < 2:
             raise ContractViolation("dim must be >= 2")
@@ -172,6 +147,8 @@ def get_function(name: str, dim: int | None = None, beta: float = 1.0, seed: int
     if dim is not None and dim < 1:
         raise ContractViolation(f"dim must be >= 1, got {dim}")
     if name == "z1z2":
+        if dim not in (None, 2):
+            raise ContractViolation(f"z1z2 is 2-D, got dim {dim}")
         return QuadraticForm([[0.0, 1.0], [1.0, 0.0]])
     if name == "separable-cubic":
         if dim is None or dim == 4:
@@ -181,7 +158,11 @@ def get_function(name: str, dim: int | None = None, beta: float = 1.0, seed: int
             rng.uniform(-1.0, 1.0, dim), rng.uniform(-1.0, 1.0, dim), rng.uniform(-1.0, 1.0, dim)
         )
     if name == "beta-cubic":
-        return ScaledCubic(beta=beta, dim=2 if dim is None else dim)
+        # beta * sum_i z_i^3: zero off-diagonal curvature at any scale beta, while
+        # path length grows with it (the smoothness counterexample)
+        if not np.isfinite(beta):
+            raise ContractViolation(f"beta must be finite, got {beta}")
+        return SeparablePolynomial(np.full(2 if dim is None else dim, float(beta)))
     if name == "rotated-separable":
         return RotatedSeparable(dim=4 if dim is None else dim, seed=seed)
     raise ContractViolation(

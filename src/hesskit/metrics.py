@@ -29,7 +29,7 @@ features, and a sweep's mean output variance is ``⟨C, W Wᵀ⟩ / m`` for the
 sweep covariance ``C`` of the shifted features and output width ``m``.
 The blocks are the same as for the outputs, and every call still goes
 through the generator. Other functions, and wrappers that hide the
-method, reduce their outputs as before.
+method, reduce their outputs with the same formulas and ``W Wᵀ`` left out.
 """
 
 from __future__ import annotations
@@ -171,14 +171,11 @@ def _sweep_scores(fn, dim: int, components, n_base: int, n_sweep: int, seed: int
     for _, swept in blocks:
         # shift each sweep by its first row: identical sweeps then score exactly zero
         swept -= swept[:, :1]
-        if gram is None:
-            var = np.var(swept, axis=1, ddof=1)
-            per_base.append(var.reshape(len(var), -1).mean(axis=1))
-        else:  # the trace of the outputs' sweep covariance, through W Wᵀ
-            swept -= swept.mean(axis=1, keepdims=True)
-            sq = _square_norms(swept.reshape(-1, swept.shape[-1]), gram)
-            per_base.append(sq.reshape(len(swept), -1).sum(axis=1)
-                            / ((n_sweep - 1) * fn.output_dim))
+        swept -= swept.mean(axis=1, keepdims=True)
+        # the trace of the outputs' sweep covariance, over the output width
+        width = swept.shape[-1] if gram is None else fn.output_dim
+        sq = _square_norms(swept.reshape(-1, swept.shape[-1]), gram)
+        per_base.append(sq.reshape(len(swept), -1).sum(axis=1) / ((n_sweep - 1) * width))
     scores = np.concatenate(per_base).reshape(len(components), -1).mean(axis=1)
     if not np.isfinite(scores).all():
         raise NumericError("activeness: non-finite output variance")

@@ -3,8 +3,9 @@
 Three independent ground truths live here: full finite-difference
 Hessians of a black-box function, the exact population variance of the
 probe quadratic form by enumeration of all 2^n sign vectors, and the
-diagonality statistics used to compare trained generators. None of them
-share code with the stochastic path they validate.
+diagonality statistics used to compare trained generators. The Hessians
+run through the penalty's row blocks and forward, but none of the three
+shares the stochastic path's stencil or probe-variance tail.
 """
 
 from __future__ import annotations

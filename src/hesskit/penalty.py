@@ -93,10 +93,13 @@ class PenaltyConfig:
 
     def __post_init__(self):
         _check_epsilon(self.epsilon)
-        if int(self.k) != self.k or self.k < 2:
+        if not float(self.k).is_integer() or self.k < 2:
             raise ContractViolation(f"probe count k must be an integer >= 2, got {self.k}")
         if self.reduction not in REDUCTIONS:
             raise ContractViolation(f"reduction must be one of {REDUCTIONS}, got {self.reduction!r}")
+        if len(set(self.taps)) != len(self.taps):  # a repeated tap would count twice
+            raise ContractViolation(f"taps must be distinct, got {', '.join(self.taps)}")
+        object.__setattr__(self, "k", int(self.k))
         object.__setattr__(self, "taps", tuple(self.taps) or ("output",))
 
 

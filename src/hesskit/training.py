@@ -152,20 +152,11 @@ class TrainConfig:
         return (0.9, 0.999) if self.mode == "reconstruction" else (0.0, 0.99)
 
 
-class TrainLog:
+class TrainLog(list):
     """Per-step records; ``wall_clock`` is the only nondeterministic field."""
 
-    def __init__(self):
-        self.records: list[dict] = []
-
-    def append(self, record: dict) -> None:
-        self.records.append(record)
-
     def values(self, key: str) -> np.ndarray:
-        return np.array([r[key] for r in self.records if key in r])
-
-    def __len__(self) -> int:
-        return len(self.records)
+        return np.array([r[key] for r in self if key in r])
 
 
 class Trainer:

@@ -219,7 +219,7 @@ def test_c09_direction_identifiability():
     scores = []
     for seed in SEEDS:
         matrix, log = discover_directions(fn, 4, steps=1500, seed=seed)
-        residuals = [r["ortho_residual"] for r in log.records] + [matrix.ortho_residual()]
+        residuals = [r["ortho_residual"] for r in log] + [matrix.ortho_residual()]
         worst_residual = max(worst_residual, max(residuals))
         overlap = np.abs(matrix.matrix.T @ fn.rotation)
         score = float(np.min(np.max(overlap, axis=0)))

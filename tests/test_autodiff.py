@@ -19,7 +19,7 @@ def test_feature_normalize_hand_value():
 
 
 def test_variance_of_constant_is_zero():
-    assert ad.Tensor([1.0, 1.0, 1.0, 1.0]).var(ddof=1).item() == 0.0
+    assert ad._reduce_var(ad.Tensor([1.0, 1.0, 1.0, 1.0]), None, 1).item() == 0.0
 
 
 def test_backward_sum_of_matvec():
@@ -94,7 +94,8 @@ def test_repeated_forward_records_identical_ops_and_values():
     x = ad.Tensor(rng.normal(size=(5, 4)))
 
     def forward():
-        return ad.feature_normalize(ad.tanh(ad.matmul(x, w))).var(axis=0).max(axis=None)
+        return ad._reduce_max(ad._reduce_var(ad.feature_normalize(ad.tanh(ad.matmul(x, w))), 0, 1),
+                              None)
 
     first, second = ad.record(forward()), ad.record(forward())
     assert [node.op for node in first] == [node.op for node in second]
@@ -152,8 +153,8 @@ _PRIMITIVES = {
     "feature_normalize": lambda a, b: ad.feature_normalize(a),
     "sum_axis": lambda a, b: a.sum(axis=0),
     "mean_axis": lambda a, b: a.mean(axis=1),
-    "var_axis": lambda a, b: a.var(axis=0, ddof=1),
-    "max_axis": lambda a, b: a.max(axis=1),
+    "var_axis": lambda a, b: ad._reduce_var(a, 0, 1),
+    "max_axis": lambda a, b: ad._reduce_max(a, 1),
     "stack": lambda a, b: ad.stack([a, b], axis=0),
     "reshape": lambda a, b: a.reshape((12,)),
     "transpose": lambda a, b: ad.transpose(a),

@@ -540,6 +540,21 @@ def test_bad_values_are_typed_errors(tmp_path, capsys, argv):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--fn", "z1z2", "--taps", "output,output"],
+    ["train", "--steps", "1", "--taps", "norm1,norm1"],
+    # z1z2 is 2-D and a checkpoint has its own latent size: neither can take --dim
+    ["estimate", "--fn", "z1z2", "--dim", "3"],
+    ["estimate", "--checkpoint", "CKPT", "--dim", "3"],
+], ids=lambda argv: " ".join(argv))
+def test_an_input_that_would_be_doubled_or_ignored_exits_one(tmp_path, capsys, argv):
+    ckpt = str(tmp_path / "g.npz")
+    save_checkpoint(Generator(latent_dim=3, output_dim=8, hidden_width=6, hidden_layers=1), ckpt)
+    argv = [ckpt if arg == "CKPT" else arg for arg in argv]
+    assert main(argv + ["--out", str(tmp_path / "x")]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_negative_seed_in_config_file_exits_one(tmp_path, capsys):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("seed = -1\n")

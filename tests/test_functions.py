@@ -7,7 +7,6 @@ from hesskit.functions import (
     FUNCTION_NAMES,
     QuadraticForm,
     RotatedSeparable,
-    ScaledCubic,
     SeparablePolynomial,
     as_batch,
     get_function,
@@ -53,8 +52,8 @@ def test_separable_polynomial_matches_direct_evaluation():
 
 def test_scaled_cubic_scales_linearly():
     z = np.array([0.7, -0.3])
-    one = ScaledCubic(beta=1.0)(z).values
-    ten = ScaledCubic(beta=10.0)(z).values
+    one = get_function("beta-cubic", beta=1.0)(z).values
+    ten = get_function("beta-cubic", beta=10.0)(z).values
     assert np.allclose(ten, 10.0 * one)
 
 

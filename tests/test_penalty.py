@@ -74,9 +74,10 @@ def enumerate_estimator_mean(fn, z, config):
 
 
 class TestConfig:
-    def test_rejects_k_below_two(self):
-        with pytest.raises(ContractViolation):
-            PenaltyConfig(k=1)
+    @pytest.mark.parametrize("k", [1, 2.5, float("inf"), float("nan")])
+    def test_rejects_k_that_is_not_an_integer_of_at_least_two(self, k):
+        with pytest.raises(ContractViolation, match="probe count"):
+            PenaltyConfig(k=k)
 
     def test_rejects_nonpositive_epsilon(self):
         with pytest.raises(ContractViolation):
@@ -98,6 +99,23 @@ class TestConfig:
     def test_empty_taps_mean_the_output(self):
         assert PenaltyConfig().taps == ("output",)
         assert PenaltyConfig(taps=[]).taps == ("output",)
+
+    @pytest.mark.parametrize("taps", [("output", "output"), ("norm1", "norm2", "norm1")])
+    def test_rejects_a_repeated_tap(self, taps):
+        # each tap is one term of the penalty: a repeated name would count twice
+        with pytest.raises(ContractViolation, match="distinct"):
+            PenaltyConfig(taps=taps)
+
+    def test_integral_float_k_is_stored_as_an_int(self):
+        config = PenaltyConfig(k=2.0)
+        assert type(config.k) is int and config.k == 2
+        fn = QuadraticForm([[0.0, 1.0], [1.0, 0.0]])
+        z = np.zeros((3, 2))
+        recorded = hessian_penalty_estimate(fn, z, config)
+        with ad.no_grad():  # the repeated-point table path
+            tabulated = hessian_penalty_estimate(fn, z, config)
+        assert recorded.value == tabulated.value == hessian_penalty_estimate(
+            fn, z, PenaltyConfig(k=2)).value
 
 
 class TestRademacher:
@@ -791,9 +809,9 @@ def five_op_tail(stencil, inv, reduction, out):
     """The penalty tail as five recorded ops (sum, scale, sub, var, max or mean): the
     reference ``ad.probe_variance`` repeats bit for bit, values and vjps."""
     sums = stencil.sum(axis=0) * inv
-    var = (sums - sums.values.mean(axis=0)).var(axis=0, ddof=1)
+    var = ad._reduce_var(sums - sums.values.mean(axis=0), 0, 1)
     out[...] = var.values
-    return var.max(axis=-1) if reduction == "max" else var.mean(axis=-1)
+    return ad._reduce_max(var, -1) if reduction == "max" else var.mean(axis=-1)
 
 
 class TestProbeVariance:

@@ -70,6 +70,9 @@ CALLS = [
     # 20 points of 73 stencil rows are more than one call's 1,024: Hessians of several blocks
     ("hessdump-20", ["hessdump", "--checkpoint", CKPT, "--samples", "20", "--top", "4"]),
     ("hessdump-rotated", ["hessdump", "--fn", "rotated-separable", "--samples", "2"]),
+    # beta-cubic off its default dimension and scale
+    ("hessdump-beta", ["hessdump", "--fn", "beta-cubic", "--beta", "5", "--dim", "3",
+                       "--samples", "2"]),
     ("data", ["data"]),
 ]
 
